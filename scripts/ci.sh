@@ -2,8 +2,8 @@
 # CI entry point. Phase 1: default-preset build + the full ctest suite
 # (unit + integration + cli_smoke + docs_lint). Phase 2: ThreadSanitizer
 # pass over the two concurrency-sensitive binaries — the parallel runtime
-# tests and the fault-injection tests (faulted runs exercise the
-# deterministic merge path under threads). Phase 3: AddressSanitizer pass
+# tests and the fault-injection tests (faulted threaded runs are sharded and
+# route every send through the serial cross-shard merge). Phase 3: AddressSanitizer pass
 # over the observability suites (metric shards + trace buffers are raw slot
 # arrays; ASan guards the indexing) plus the LP differential harness (the
 # sparse revised simplex indexes CSC/LU/eta arrays by hand; ASan guards
@@ -44,6 +44,11 @@ cmake --build --preset tsan -j"${jobs}" \
 # runtime test breaks first.
 ./build-tsan/tests/runtime_parallel_test \
   --gtest_filter='ParallelRuntime.DeterministicAcrossThreadCountsAndSeeds'
+# The golden trajectories recorded from the retired delivery paths, fault-
+# free and faulted, at 1/2/8 threads — named so a faulted-merge race or a
+# bit-identity break shows up on its own line.
+./build-tsan/tests/runtime_parallel_test \
+  --gtest_filter='ParallelRuntime.GoldenTrajectoriesAcrossThreadCounts'
 ./build-tsan/tests/fault_test
 # The churn controller drives the threaded distributed pipeline per event.
 ./build-tsan/tests/ctrl_test

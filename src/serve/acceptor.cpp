@@ -254,9 +254,11 @@ void Acceptor::run(const std::string& path) {
     }
     int timeout = -1;
     if (have_deadline) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            deadline - Clock::now())
-                            .count();
+      // Round up: a truncated timeout wakes before the deadline, and a
+      // batch must not flush before its full --flush-ms has elapsed.
+      const auto left =
+          std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+              .count();
       timeout = left < 0 ? 0 : static_cast<int>(left);
     }
     const int ready = ::poll(fds.data(), fds.size(), timeout);
@@ -266,7 +268,7 @@ void Acceptor::run(const std::string& path) {
              "serve: poll failed: " + std::string(std::strerror(errno)));
     }
     if (ready == 0) {
-      if (have_deadline) {
+      if (have_deadline && Clock::now() >= deadline) {
         flush_now();
         have_deadline = false;
         update_deadline();

@@ -199,8 +199,8 @@ class NodeActor : public Actor {
 /// Gamma updates whose inputs are older than `max_staleness` waves.
 class DistributedGradientSystem {
  public:
-  /// `runtime_options` selects the execution engine (thread count,
-  /// deterministic merge, pooled delivery) and the fault plan; the computed
+  /// `runtime_options` selects the execution engine (thread count, serial
+  /// cutoff, observation) and the fault plan; the computed
   /// iterates are bit-identical for every thread count — see
   /// tests/runtime_parallel_test.cpp and tests/fault_test.cpp.
   explicit DistributedGradientSystem(const xform::ExtendedGraph& xg,
@@ -265,9 +265,8 @@ class DistributedGradientSystem {
   /// Installs a commodity-DAG-aware shard partition of the extended graph
   /// into the runtime (one shard per worker thread, edges weighted by the
   /// number of commodities that can route over them — a proxy for messages
-  /// per wave). No-op when the options rule sharding out (single thread,
-  /// chunked mode, legacy delivery, link faults); results are identical
-  /// either way.
+  /// per wave). No-op on a single thread, which keeps the runtime's one
+  /// default shard; results are identical either way.
   void install_partition();
   void marginal_wave();
   void forecast_wave();

@@ -62,19 +62,6 @@ struct SolveOptions {
   /// 0 = all hardware threads.
   std::size_t threads = 1;
 
-  /// Parallel partitioning strategy for the distributed runtime: "shard"
-  /// (default — graph-aware shard partition, per-shard queues and pools)
-  /// or "chunked" (contiguous actor-id chunks, the pre-sharding A/B
-  /// reference). Results are bit-identical either way; only throughput
-  /// changes. Ignored by backends without a parallel engine.
-  std::string partition = "shard";
-
-  /// Seed for any backend-internal randomness (none of the current five
-  /// draw from it directly; the fault injector's default seed comes from
-  /// extra["faults"]). Kept in the shared contract so stochastic future
-  /// backends don't need a new field.
-  std::uint64_t seed = 2007;
-
   /// Curvature-scaled (Newton-like) steps for the gradient family.
   bool curvature_scaled = false;
 

@@ -82,4 +82,20 @@ if(NOT dot_ext MATCHES "dummy")
   message(FATAL_ERROR "extended dot output lacks dummy nodes")
 endif()
 
+# A flag outside the help text's vocabulary fails loudly, naming the flag,
+# instead of being silently ignored.
+execute_process(COMMAND ${CLI} solve ${scenario_file} --algo gradient
+                        --partition chunked
+                OUTPUT_VARIABLE unknown_out
+                ERROR_VARIABLE unknown_err
+                RESULT_VARIABLE unknown_result)
+if(NOT unknown_result EQUAL 1)
+  message(FATAL_ERROR
+          "solve --partition chunked exited ${unknown_result}, expected 1")
+endif()
+if(NOT unknown_err MATCHES "unknown flag --partition")
+  message(FATAL_ERROR
+          "solve --partition chunked did not name the flag: ${unknown_err}")
+endif()
+
 message(STATUS "cli_test: all checks passed (lp=${lp_value}, gradient=${grad_value})")

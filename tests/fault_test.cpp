@@ -313,14 +313,6 @@ TEST(FaultRuntime, ManualRestoreReopensTraffic) {
   EXPECT_EQ(receiver(runtime).received, 1u);
 }
 
-TEST(FaultRuntime, ThreadedInjectionRequiresDeterministicMerge) {
-  RuntimeOptions options;
-  options.num_threads = 2;
-  options.deterministic = false;
-  options.faults.drop = 0.1;
-  EXPECT_THROW(Runtime{options}, CheckError);
-}
-
 // --- Hardened distributed gradient under faults ---
 
 RuntimeOptions faulted(double drop, std::size_t delay, std::size_t threads) {

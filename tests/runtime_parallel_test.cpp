@@ -1,15 +1,21 @@
 // Tests for the parallel deterministic runtime: thread-pool semantics,
 // flat-inbox ordering, payload-pool recycling, and bit-identical results
-// across thread counts and against the legacy (pre-parallel) delivery path.
+// across thread counts and against golden trajectories recorded from the
+// runtime's earlier delivery paths.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/routing.hpp"
+#include "gen/figure1.hpp"
 #include "gen/random_instance.hpp"
 #include "sim/distributed_gradient.hpp"
 #include "sim/runtime.hpp"
@@ -25,7 +31,6 @@ using maxutil::sim::ActorId;
 using maxutil::sim::DistributedGradientSystem;
 using maxutil::sim::Message;
 using maxutil::sim::Outbox;
-using maxutil::sim::PartitionMode;
 using maxutil::sim::QuietResult;
 using maxutil::sim::QuietStatus;
 using maxutil::sim::Runtime;
@@ -178,16 +183,9 @@ TEST(ParallelRuntime, RunUntilQuietStrictnessKnob) {
   EXPECT_THROW(rt.run_until_quiet(50), CheckError);
 }
 
-TEST(ParallelRuntime, LegacyModeRejectsThreads) {
-  RuntimeOptions options;
-  options.pooled_delivery = false;
-  options.num_threads = 2;
-  EXPECT_THROW(Runtime rt(options), CheckError);
-}
-
 /// Bit-identical allocations and utility trajectories across thread counts
-/// (1, 2, 8), against the legacy delivery path, and across several seeds —
-/// the determinism contract of the parallel runtime.
+/// (1, 2, 8) and across several seeds — the determinism contract of the
+/// parallel runtime.
 TEST(ParallelRuntime, DeterministicAcrossThreadCountsAndSeeds) {
   constexpr std::size_t kIterations = 12;
   for (const std::uint64_t seed : {2007ull, 11ull, 42ull}) {
@@ -195,7 +193,7 @@ TEST(ParallelRuntime, DeterministicAcrossThreadCountsAndSeeds) {
     const auto net = maxutil::gen::random_instance({}, rng);
     const ExtendedGraph xg(net);
 
-    // Serial pooled reference trajectory.
+    // Serial (one-shard) reference trajectory.
     DistributedGradientSystem reference(xg);
     std::vector<double> reference_utilities;
     for (std::size_t i = 0; i < kIterations; ++i) {
@@ -204,69 +202,168 @@ TEST(ParallelRuntime, DeterministicAcrossThreadCountsAndSeeds) {
     }
     const auto reference_routing = reference.routing_snapshot();
 
-    // The legacy delivery path pins the pre-parallel serial behavior.
-    RuntimeOptions legacy;
-    legacy.pooled_delivery = false;
-    DistributedGradientSystem legacy_system(xg, {}, legacy);
-    for (std::size_t i = 0; i < kIterations; ++i) {
-      legacy_system.iterate();
-      EXPECT_EQ(legacy_system.utility(), reference_utilities[i])
-          << "legacy diverged at iteration " << i << ", seed " << seed;
-    }
-    EXPECT_EQ(legacy_system.routing_snapshot().max_difference(
-                  reference_routing),
-              0.0);
-
-    // Both partitioning strategies, at both thread counts, must replay the
-    // serial trajectory exactly — the partition must be invisible in every
-    // output.
+    // Every thread count must replay the serial trajectory exactly — the
+    // partition must be invisible in every output.
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      for (const PartitionMode mode :
-           {PartitionMode::kShard, PartitionMode::kChunked}) {
-        RuntimeOptions options = threaded(threads);
-        options.partition = mode;
-        DistributedGradientSystem parallel(xg, {}, options);
-        const char* mode_name =
-            mode == PartitionMode::kShard ? "shard" : "chunked";
-        for (std::size_t i = 0; i < kIterations; ++i) {
-          parallel.iterate();
-          EXPECT_EQ(parallel.utility(), reference_utilities[i])
-              << threads << " threads (" << mode_name
-              << ") diverged at iteration " << i << ", seed " << seed;
-        }
-        EXPECT_EQ(
-            parallel.routing_snapshot().max_difference(reference_routing),
-            0.0)
-            << threads << " threads (" << mode_name << "), seed " << seed;
-        EXPECT_EQ(parallel.runtime().delivered_messages(),
-                  reference.runtime().delivered_messages());
-        EXPECT_EQ(parallel.runtime().delivered_payload_doubles(),
-                  reference.runtime().delivered_payload_doubles());
-        EXPECT_EQ(parallel.runtime().partitioned(),
-                  mode == PartitionMode::kShard)
-            << "shard mode must actually install a partition";
+      DistributedGradientSystem parallel(xg, {}, threaded(threads));
+      for (std::size_t i = 0; i < kIterations; ++i) {
+        parallel.iterate();
+        EXPECT_EQ(parallel.utility(), reference_utilities[i])
+            << threads << " threads diverged at iteration " << i << ", seed "
+            << seed;
       }
+      EXPECT_EQ(parallel.routing_snapshot().max_difference(reference_routing),
+                0.0)
+          << threads << " threads, seed " << seed;
+      EXPECT_EQ(parallel.runtime().delivered_messages(),
+                reference.runtime().delivered_messages());
+      EXPECT_EQ(parallel.runtime().delivered_payload_doubles(),
+                reference.runtime().delivered_payload_doubles());
+      EXPECT_TRUE(parallel.runtime().partitioned())
+          << "threaded runs must install a partition";
     }
   }
 }
 
-/// Non-deterministic mode also computes correct results here (the gradient
-/// protocol is order-insensitive within a round: actors wait for all
-/// inputs), it just waives the message-order guarantee.
-TEST(ParallelRuntime, NonDeterministicModeStillConverges) {
-  Rng rng(2007);
-  const auto net = maxutil::gen::random_instance({}, rng);
-  const ExtendedGraph xg(net);
-  DistributedGradientSystem reference(xg);
-  reference.run(8);
+// --- Golden trajectories ---
+//
+// Reference values for the distributed gradient system, recorded as data so
+// the runtime's delivery path can change without losing its reference:
+// fault-free runs were recorded from the original serial delivery path (a
+// per-round vector<vector<Message>> inbox rebuild), faulted runs from the
+// chunked parallel stepper that drew every fault at its serial outbox
+// merge. Every thread count must reproduce them bit for bit.
 
-  RuntimeOptions options = threaded(4);
-  options.deterministic = false;
-  DistributedGradientSystem relaxed(xg, {}, options);
-  relaxed.run(8);
-  EXPECT_LT(relaxed.routing_snapshot().max_difference(
-                reference.routing_snapshot()),
-            1e-12);
+constexpr std::size_t kGoldenIterations = 12;
+
+struct GoldenRecord {
+  std::array<double, kGoldenIterations> utility;
+  std::uint64_t phi_digest;
+  std::size_t sent, delivered, dropped, payload_doubles;
+  std::size_t fault_dropped, fault_duplicated, fault_delayed;
+};
+
+struct GoldenRun {
+  GoldenRecord record{};
+  bool partitioned = false;
+};
+
+/// FNV-1a over the bit patterns of every phi slot (little-endian bytes).
+std::uint64_t phi_digest(const maxutil::core::RoutingState& routing) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (std::size_t s = 0; s < routing.slot_count(); ++s) {
+    const double phi = routing.phi_slot(s);
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &phi, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+/// Golden inputs: Figure 1, then gen::random_instance at three seeds.
+maxutil::stream::StreamNetwork golden_network(std::size_t input) {
+  if (input == 0) return maxutil::gen::figure1_example();
+  constexpr std::uint64_t kSeeds[] = {2007, 11, 42};
+  Rng rng(kSeeds[input - 1]);
+  return maxutil::gen::random_instance({}, rng);
+}
+
+/// Drop 0.2, extra delay 0..3, duplicate 0.05, plus one crash window.
+RuntimeOptions golden_faults(std::size_t threads) {
+  RuntimeOptions options = threaded(threads);
+  options.faults.drop = 0.2;
+  options.faults.delay_max = 3;
+  options.faults.duplicate = 0.05;
+  options.faults.seed = 2007;
+  options.faults.crashes.push_back({1, 40, 120});
+  return options;
+}
+
+GoldenRun run_golden(const ExtendedGraph& xg, const RuntimeOptions& options) {
+  DistributedGradientSystem system(xg, {}, options);
+  GoldenRun run;
+  GoldenRecord& r = run.record;
+  for (std::size_t i = 0; i < kGoldenIterations; ++i) {
+    system.iterate();
+    r.utility[i] = system.utility();
+  }
+  r.phi_digest = phi_digest(system.routing_snapshot());
+  const Runtime& rt = system.runtime();
+  r.sent = rt.sent_messages();
+  r.delivered = rt.delivered_messages();
+  r.dropped = rt.dropped_messages();
+  r.payload_doubles = rt.delivered_payload_doubles();
+  r.fault_dropped = rt.fault_dropped_messages();
+  r.fault_duplicated = rt.fault_duplicated_messages();
+  r.fault_delayed = rt.fault_delayed_messages();
+  run.partitioned = rt.partitioned();
+  return run;
+}
+
+void expect_golden(const GoldenRecord& got, const GoldenRecord& want,
+                   const std::string& label) {
+  for (std::size_t i = 0; i < kGoldenIterations; ++i) {
+    EXPECT_EQ(got.utility[i], want.utility[i])
+        << label << ": utility diverged at iteration " << i;
+  }
+  EXPECT_EQ(got.phi_digest, want.phi_digest) << label;
+  EXPECT_EQ(got.sent, want.sent) << label;
+  EXPECT_EQ(got.delivered, want.delivered) << label;
+  EXPECT_EQ(got.dropped, want.dropped) << label;
+  EXPECT_EQ(got.payload_doubles, want.payload_doubles) << label;
+  EXPECT_EQ(got.fault_dropped, want.fault_dropped) << label;
+  EXPECT_EQ(got.fault_duplicated, want.fault_duplicated) << label;
+  EXPECT_EQ(got.fault_delayed, want.fault_delayed) << label;
+}
+
+/// [input][0] = fault-free, [input][1] = golden_faults; inputs in
+/// golden_network order.
+constexpr GoldenRecord kGolden[4][2] = {
+    {  // Figure 1: fault-free, faulted
+      {{0x1.4781819c6327cp-4, 0x1.47817a7575704p-3, 0x1.eb422cf22a45cp-3, 0x1.47816c205619dp-2, 0x1.9961be2eaa629p-2, 0x1.eb420ca23d77bp-2, 0x1.1e912bbc9cc3cp-1, 0x1.47814f58e3b97p-1, 0x1.707171250765ep-1, 0x1.996191201aea6p-1, 0x1.c251af4930bf4p-1, 0x1.eb41cb9f5ab44p-1},
+       0xd5e26c2b4f268c8bull, 750, 750, 0, 2970, 0, 0, 0},
+      {{0x1.47903e4f66b2ap-4, 0x1.47903ac672214p-3, 0x1.eb50f28e5a0c8p-3, 0x1.4788d1faa5d36p-2, 0x1.99692722bd9cp-2, 0x1.eb4979c241adep-2, 0x1.1e94e3cfc8117p-1, 0x1.47850a07f0894p-1, 0x1.70752ed238cbp-1, 0x1.996553378eb0bp-1, 0x1.c255756b26372p-1, 0x1.eb4595f749ae7p-1},
+       0x43615b9f76b7e0f5ull, 1166, 970, 250, 3998, 242, 54, 723},
+    },
+    {  // random_instance seed 2007: fault-free, faulted
+      {{0x1.e6e24bf26f7d6p-4, 0x1.e822b519ef8fp-3, 0x1.6e68bcedc0a09p-2, 0x1.e8beb353d52a8p-2, 0x1.31899b627dacep-1, 0x1.6eb3200b1f78bp-1, 0x1.abdbe3f51f4ccp-1, 0x1.e903e357b3491p-1, 0x1.13158d2786076p+0, 0x1.31a8c26daf29bp+0, 0x1.503b8f6ff0e86p+0, 0x1.6ecdf210e284p+0},
+       0xfb142b59bb0740beull, 2100, 2100, 0, 8316, 0, 0, 0},
+      {{0x1.e7ee8e75be97ep-4, 0x1.e8ba1ad63f9p-3, 0x1.6ebdc2fa05d0ap-2, 0x1.e91807beb9e1cp-2, 0x1.31b904f8040cap-1, 0x1.6ee4d56a6a77ap-1, 0x1.ac0ecb1be18c8p-1, 0x1.e938215b73664p-1, 0x1.1330ab13e5917p+0, 0x1.31c53a40f6e77p+0, 0x1.5058e0d38438dp+0, 0x1.6eebf8a6fedaep+0},
+       0x22068d97b4ef3f7bull, 2878, 2400, 611, 10018, 605, 133, 1785},
+    },
+    {  // random_instance seed 11: fault-free, faulted
+      {{0x1.e0e55ee100472p-4, 0x1.e302f7ebf352cp-3, 0x1.6abeff5857f75p-2, 0x1.e3f16dc25fce9p-2, 0x1.2e8c262b5da58p-1, 0x1.6b198c7c78fbap-1, 0x1.a7a0a4e1b2b3fp-1, 0x1.e42126387394fp-1, 0x1.104d616e2643dp+0, 0x1.2e869426a80c8p+0, 0x1.4cbbff67012e6p+0, 0x1.6aed747bf8e69p+0},
+       0xffbc5b00b7093c5full, 1900, 1900, 0, 7524, 0, 0, 0},
+      {{0x1.e2258fe6f1444p-4, 0x1.e3f931be4e81bp-3, 0x1.6b51e16360cabp-2, 0x1.e48e6b953d8a2p-2, 0x1.2ee030d4cfd17p-1, 0x1.6b77af4942626p-1, 0x1.a80f0d2aa88fcp-1, 0x1.e48e8df883c8cp-1, 0x1.1086c02f438c8p+0, 0x1.2ec01672f1b1bp+0, 0x1.4cf6c9013ced7p+0, 0x1.6b27efe19ddbp+0},
+       0xb739470dec20ad8eull, 3110, 2597, 655, 11003, 653, 142, 1928},
+    },
+    {  // random_instance seed 42: fault-free, faulted
+      {{0x1.e38976793f6b3p-4, 0x1.e64d08cab0c75p-3, 0x1.6d66d06aeb4fp-2, 0x1.e7a3131d13ebp-2, 0x1.30ed8d4d6860dp-1, 0x1.6e0758b0fda5ap-1, 0x1.ab1ecef980126p-1, 0x1.e833d1346de38p-1, 0x1.12a31f00e21cp+0, 0x1.312af8a8acebep+0, 0x1.4fb1620b8a5b4p+0, 0x1.6e3645fa38a45p+0},
+       0x8169a9b4da0b94afull, 2350, 2350, 0, 9306, 0, 0, 0},
+      {{0x1.e4614f01919ecp-4, 0x1.e5ed4908acf67p-3, 0x1.6d22b33789adp-2, 0x1.e76210eb95838p-2, 0x1.30d02ddf5d32p-1, 0x1.6dea13dd3a5dp-1, 0x1.ab03c4852e6fap-1, 0x1.e81c1e1508b14p-1, 0x1.12987ee2c58a2p+0, 0x1.3122ce212b2c7p+0, 0x1.4faabcdb2c706p+0, 0x1.6e306a42a332p+0},
+       0x65afd87170c42b80ull, 3324, 2773, 703, 11609, 695, 152, 2057},
+    },
+};
+
+TEST(ParallelRuntime, GoldenTrajectoriesAcrossThreadCounts) {
+  for (std::size_t input = 0; input < 4; ++input) {
+    const auto net = golden_network(input);
+    const ExtendedGraph xg(net);
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      const std::string label = "input " + std::to_string(input) + ", " +
+                                std::to_string(threads) + " threads";
+      expect_golden(run_golden(xg, threaded(threads)).record,
+                    kGolden[input][0], label + ", fault-free");
+      const GoldenRun faulted = run_golden(xg, golden_faults(threads));
+      expect_golden(faulted.record, kGolden[input][1], label + ", faulted");
+      // Threaded faulted runs are sharded like fault-free ones.
+      EXPECT_EQ(faulted.partitioned, threads > 1) << label;
+    }
+  }
 }
 
 /// After warmup, every payload buffer must come from the recycle free list:

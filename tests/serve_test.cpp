@@ -796,11 +796,17 @@ TEST(ServeAcceptor, SocketTimerFlushesWithoutFurtherArrivals) {
 
   EXPECT_NE(read_until("epoch=0\n").find("epoch=0"), std::string::npos);
   const std::string line = "query=S1@0\n";
+  const auto written = std::chrono::steady_clock::now();
   ASSERT_EQ(::write(client, line.data(), line.size()),
             static_cast<ssize_t>(line.size()));
   // No second request ever arrives; only the wall-clock timer can flush.
   const std::string answer = read_until("-> report");
+  const auto answered = std::chrono::steady_clock::now();
   EXPECT_NE(answer.find("query=S1@0 -> report"), std::string::npos);
+  // The batch opens when the server reads the line, after the write, so the
+  // answer can come no sooner than the full flush_ms after the write.
+  EXPECT_GE(answered - written,
+            std::chrono::milliseconds(acceptor_options.flush_ms));
   ::close(client);  // last client leaves: run() returns
   server.join();
   EXPECT_EQ(acceptor.clients_served(), 1u);

@@ -41,6 +41,8 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <regex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -64,14 +66,15 @@ namespace {
 
 using namespace maxutil;
 
-int usage_to(std::FILE* out) {
-  std::fprintf(
-      out,
+/// The help text. Its "--flag" tokens are also the CLI's whole flag
+/// vocabulary (known_flag) and what docs_lint diffs against the README.
+std::string help_text() {
+  const char* const format =
       "usage: maxutil_cli validate <file>\n"
       "       maxutil_cli solve <file> [--algo NAME[,NAME...]|help]"
       " [--compare] [--compare-json FILE]\n"
       "                            [--eta X] [--eps X] [--iters N] [--tol X]"
-      " [--threads T] [--partition shard|chunked]\n"
+      " [--threads T]\n"
       "                            [--faults SPEC] [--newton] [--report]"
       " [--metrics FILE] [--trace FILE]"
       " [--metrics-report]\n"
@@ -83,10 +86,6 @@ int usage_to(std::FILE* out) {
       "          --compare-json FILE additionally writes the table as JSON)\n"
       "         (--threads: actor-runtime workers for solvers with a"
       " parallel engine; 0 = all hardware threads)\n"
-      "         (--partition: how parallel rounds split actors — 'shard'"
-      " (graph-aware shards, default) or 'chunked'\n"
-      "          (contiguous id chunks, the A/B reference); results are"
-      " bit-identical either way)\n"
       "         (--faults: inject message faults into the distributed"
       " runtime; SPEC is a comma list of drop=P, delay=A-B,\n"
       "          dup=P, seed=S, crash=NODE@BEGIN-END, link=FROM-TO@P)\n"
@@ -114,8 +113,7 @@ int usage_to(std::FILE* out) {
       " [--window W]\n"
       "                            [--algo NAME[,...]] [--policy P] [--eps X]"
       " [--eta X] [--iters N] [--tol X]\n"
-      "                            [--threads T] [--partition shard|chunked]"
-      " [--budget N]\n"
+      "                            [--threads T] [--budget N]\n"
       "                            [--admit-share X] [--deny-share X]"
       " [--max-pending N] [--decisions FILE]\n"
       "                            [--json FILE] [--report] [--metrics FILE]"
@@ -154,12 +152,36 @@ int usage_to(std::FILE* out) {
       "       maxutil_cli dot <file> [--extended]\n"
       "       maxutil_cli generate [--servers N] [--commodities J]"
       " [--stages K] [--lambda X] [--seed S]\n"
-      "       maxutil_cli help   (this text; also --help)\n",
-      solver::SolverRegistry::instance().names_joined().c_str());
+      "       maxutil_cli help   (this text; also --help)\n";
+  const std::string names = solver::SolverRegistry::instance().names_joined();
+  const int size = std::snprintf(nullptr, 0, format, names.c_str());
+  std::string text(static_cast<std::size_t>(size), '\0');
+  std::snprintf(text.data(), text.size() + 1, format, names.c_str());
+  return text;
+}
+
+int usage_to(std::FILE* out) {
+  std::fputs(help_text().c_str(), out);
   return out == stdout ? 0 : 1;
 }
 
 int usage() { return usage_to(stderr); }
+
+/// True when `key` names a flag the help text documents, so a stale or
+/// misspelled flag fails loudly instead of being silently ignored.
+bool known_flag(const std::string& key) {
+  static const std::set<std::string> vocabulary = [] {
+    std::set<std::string> flags;
+    const std::string text = help_text();
+    const std::regex flag("--([a-z][a-z0-9-]*)");
+    for (std::sregex_iterator it(text.begin(), text.end(), flag), end;
+         it != end; ++it) {
+      flags.insert((*it)[1].str());
+    }
+    return flags;
+  }();
+  return vocabulary.count(key) != 0;
+}
 
 /// Parses "--key value" pairs after the subcommand/file arguments.
 std::map<std::string, std::string> parse_flags(int argc, char** argv,
@@ -171,6 +193,7 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
       throw util::CheckError("unexpected argument '" + key + "'");
     }
     key = key.substr(2);
+    if (!known_flag(key)) throw util::CheckError("unknown flag --" + key);
     if (key == "extended" || key == "report" || key == "newton" ||
         key == "metrics-report" || key == "compare" || key == "stamp") {
       flags[key] = "1";
@@ -326,9 +349,6 @@ int cmd_solve(const std::string& path,
   const double threads = flag_number(flags, "threads", 1);
   options.threads =
       threads <= 0 ? 0 : static_cast<std::size_t>(threads);
-  if (flags.count("partition") != 0) {
-    options.partition = flags.at("partition");
-  }
   options.report = flags.count("report") != 0;
   options.observe = want_obs;
   if (flags.count("faults") != 0) options.extra["faults"] = flags.at("faults");
@@ -446,9 +466,6 @@ int cmd_churn(const std::string& path,
   options.solve.tolerance = flag_number(flags, "tol", 0.0);
   const double threads = flag_number(flags, "threads", 1);
   options.solve.threads = threads <= 0 ? 0 : static_cast<std::size_t>(threads);
-  if (flags.count("partition") != 0) {
-    options.solve.partition = flags.at("partition");
-  }
   options.watchdog_iterations =
       static_cast<std::size_t>(flag_number(flags, "budget", 4000));
   options.record_trace = flags.count("trace") != 0;
@@ -519,9 +536,6 @@ int cmd_serve(const std::string& path,
   const double threads = flag_number(flags, "threads", 1);
   options.controller.solve.threads =
       threads <= 0 ? 0 : static_cast<std::size_t>(threads);
-  if (flags.count("partition") != 0) {
-    options.controller.solve.partition = flags.at("partition");
-  }
   options.controller.watchdog_iterations =
       static_cast<std::size_t>(flag_number(flags, "budget", 4000));
   options.window = static_cast<std::size_t>(flag_number(flags, "window", 0));
