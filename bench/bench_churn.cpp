@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
                      "warm recov", "cold recov", "warm util", "optimum"});
   std::vector<util::BenchRecord> records;
 
-  std::size_t wins = 0, comparisons = 0, failures = 0;
+  std::size_t wins = 0, comparisons = 0, failures = 0, budget_exhausted = 0;
   bool roundtrip_exact = true;
   bool conservation = true;
   double worst_roundtrip_gap = 0.0;
@@ -163,6 +163,8 @@ int main(int argc, char** argv) {
     const ArmResult warm(warm_ctrl.run(plan));
     const ArmResult cold(cold_ctrl.run(plan));
     failures += warm.report.failures + cold.report.failures;
+    budget_exhausted +=
+        warm.report.budget_exhausted + cold.report.budget_exhausted;
 
     for (std::size_t i = 0; i < plan.events.size(); ++i) {
       const ctrl::EventOutcome& w = warm.report.events[i];
@@ -195,8 +197,8 @@ int main(int argc, char** argv) {
     // (pre-crash snapshot) and the re-arrival at [7] the state after [5]
     // (pre-departure snapshot), both exactly and without a solve.
     double seed_gap = 0.0;
-    for (const auto [back, fwd] : {std::pair<std::size_t, std::size_t>{3, 1},
-                                   {7, 5}}) {
+    for (const auto& [back, fwd] : {std::pair<std::size_t, std::size_t>{3, 1},
+                                    {7, 5}}) {
       const double gap = std::abs(warm.report.events[back].utility_after -
                                   warm.report.events[fwd].utility_after);
       seed_gap = std::max(seed_gap, gap);
@@ -233,7 +235,11 @@ int main(int argc, char** argv) {
           {"warm_final_utility", warm.report.final_utility},
           {"cold_final_utility", cold.report.final_utility},
           {"warm_failures", static_cast<double>(warm.report.failures)},
-          {"cold_failures", static_cast<double>(cold.report.failures)}}});
+          {"cold_failures", static_cast<double>(cold.report.failures)},
+          {"warm_budget_exhausted",
+           static_cast<double>(warm.report.budget_exhausted)},
+          {"cold_budget_exhausted",
+           static_cast<double>(cold.report.budget_exhausted)}}});
   }
   table.print(std::cout);
 
@@ -282,6 +288,9 @@ int main(int argc, char** argv) {
   std::printf("warm recovers sooner on %zu/%zu re-solved events (%.0f%%; "
               "exact restores excluded), worst round-trip gap %.3g\n",
               wins, comparisons, 100.0 * win_rate, worst_roundtrip_gap);
+  std::printf("re-solves stopped at the iteration budget (usable, not "
+              "failures): %zu\n",
+              budget_exhausted);
 
   records.push_back({"aggregate",
                      {{"wins", static_cast<double>(wins)},
@@ -289,6 +298,8 @@ int main(int argc, char** argv) {
                       {"win_rate", win_rate},
                       {"worst_roundtrip_gap", worst_roundtrip_gap},
                       {"failures", static_cast<double>(failures)},
+                      {"budget_exhausted",
+                       static_cast<double>(budget_exhausted)},
                       {"distributed_bit_identical", identical ? 1.0 : 0.0}}});
   const std::string path = util::write_bench_json(
       "churn", records,

@@ -4,7 +4,9 @@
 // ~50k servers / ~5k commodities. Per rung the polytope is built once
 // (build time excluded from solve timings) and each backend is timed on the
 // identical LpProblem; where both run, statuses must agree and objectives
-// match within 1e-6 * (1 + |obj|).
+// match within 1e-6 * (1 + |obj|). The revised simplex is the library's
+// only production LP engine; the dense tableau is its differential oracle,
+// kept in this bench as the baseline the ladder was measured against.
 //
 // The dense backend is gated twice: a projected-tableau memory cap (its
 // standard-form tableau is (rows+1) x (cols + 2*rows + 1) doubles — ~200 GB

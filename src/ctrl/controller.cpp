@@ -146,6 +146,8 @@ std::string ChurnReport::summary() const {
   out << "events " << events.size() << ": warm " << warm_starts << ", cold "
       << cold_starts << ", exact restores " << exact_restores << ", retries "
       << watchdog_retries << ", failures " << failures << "\n";
+  out << "budget exhausted " << budget_exhausted
+      << " (usable, stopped at the iteration budget)\n";
   out << "utility " << initial_utility << " -> " << final_utility << "\n";
   return out.str();
 }
@@ -225,6 +227,9 @@ void Controller::register_metrics() {
                                 "re-solves retried at a safer step size");
   m_failures_ = metrics_.counter("ctrl_solve_failures_total",
                                  "events whose re-solve (and retry) failed");
+  m_budget_exhausted_ = metrics_.counter(
+      "ctrl_budget_exhausted_total",
+      "events whose final re-solve stopped at its iteration budget");
   m_recovered_ = metrics_.counter(
       "ctrl_recovered_total", "events whose utility re-entered the band");
   m_utility_ = metrics_.gauge("ctrl_utility", "utility after the last event");
@@ -645,6 +650,10 @@ EventOutcome Controller::apply(const ChurnEvent& event) {
   if (outcome.cold_started) report_.cold_starts += 1;
   if (outcome.watchdog_retry) report_.watchdog_retries += 1;
   if (!usable) report_.failures += 1;
+  if (outcome.status == solver::Status::kIterationLimit) {
+    report_.budget_exhausted += 1;
+    metrics_.add(m_budget_exhausted_);
+  }
   report_.final_utility = utility_;
   return outcome;
 }
@@ -785,6 +794,10 @@ BatchOutcome Controller::apply_batch(const std::vector<ChurnEvent>& events) {
          {"utility", utility_}});
   }
   if (!usable) report_.failures += 1;
+  if (outcome.status == solver::Status::kIterationLimit) {
+    report_.budget_exhausted += 1;
+    metrics_.add(m_budget_exhausted_);
+  }
   report_.final_utility = utility_;
   return outcome;
 }

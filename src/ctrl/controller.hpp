@@ -145,6 +145,10 @@ struct ChurnReport {
   std::size_t exact_restores = 0;
   std::size_t watchdog_retries = 0;
   std::size_t failures = 0;
+  /// Events whose final re-solve stopped at its iteration budget
+  /// (Status::kIterationLimit). Such a result is usable, so these are not
+  /// failures; they are the events whose plan never converged.
+  std::size_t budget_exhausted = 0;
 
   /// Human-readable per-event table + aggregate lines (CLI --report).
   std::string summary() const;
@@ -312,8 +316,8 @@ class Controller {
   obs::MetricId m_events_, m_crashes_, m_restores_, m_cap_scales_,
       m_bw_scales_, m_arrivals_, m_departures_, m_warm_starts_,
       m_cold_starts_, m_exact_restores_, m_retries_, m_failures_,
-      m_recovered_, m_utility_, m_commodities_, m_recovery_hist_,
-      m_deficit_hist_;
+      m_budget_exhausted_, m_recovered_, m_utility_, m_commodities_,
+      m_recovery_hist_, m_deficit_hist_;
 };
 
 }  // namespace maxutil::ctrl

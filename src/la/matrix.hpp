@@ -9,9 +9,9 @@ namespace maxutil::la {
 
 /// Dense row-major matrix of doubles.
 ///
-/// Deliberately minimal: the LP simplex and LU factorization need contiguous
-/// row access and O(1) element access, nothing more. Value-semantic
-/// (rule of zero).
+/// Deliberately minimal: the dense tableau simplex (the LP oracle) needs
+/// contiguous row access and O(1) element access, nothing more.
+/// Value-semantic (rule of zero).
 class Matrix {
  public:
   /// Zero-filled rows x cols matrix. Either dimension may be zero.

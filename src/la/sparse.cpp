@@ -1,7 +1,6 @@
 #include "la/sparse.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.hpp"
 
@@ -35,53 +34,6 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
   for (std::size_t r = 0; r < rows_; ++r) row_starts_[r + 1] += row_starts_[r];
 }
 
-std::vector<double> CsrMatrix::multiply(std::span<const double> x) const {
-  ensure(x.size() == cols_, "CsrMatrix::multiply: dimension mismatch");
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double total = 0.0;
-    for (std::size_t k = row_starts_[r]; k < row_starts_[r + 1]; ++k) {
-      total += values_[k] * x[col_index_[k]];
-    }
-    y[r] = total;
-  }
-  return y;
-}
-
-std::vector<double> CsrMatrix::multiply_transposed(
-    std::span<const double> x) const {
-  ensure(x.size() == rows_, "CsrMatrix::multiply_transposed: dimension mismatch");
-  std::vector<double> y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t k = row_starts_[r]; k < row_starts_[r + 1]; ++k) {
-      y[col_index_[k]] += values_[k] * xr;
-    }
-  }
-  return y;
-}
-
-std::vector<double> CsrMatrix::solve_fixed_point(std::span<const double> b,
-                                                 double tol,
-                                                 std::size_t max_iters) const {
-  ensure(rows_ == cols_, "solve_fixed_point: matrix must be square");
-  ensure(b.size() == rows_, "solve_fixed_point: dimension mismatch");
-  std::vector<double> x(b.begin(), b.end());
-  for (std::size_t it = 0; it < max_iters; ++it) {
-    std::vector<double> next = multiply(x);
-    double delta = 0.0;
-    for (std::size_t i = 0; i < rows_; ++i) {
-      next[i] += b[i];
-      delta = std::max(delta, std::abs(next[i] - x[i]));
-    }
-    x = std::move(next);
-    if (delta <= tol) return x;
-  }
-  throw maxutil::util::CheckError(
-      "solve_fixed_point: no convergence (spectral radius >= 1?)");
-}
-
 std::span<const std::size_t> CsrMatrix::row_columns(std::size_t r) const {
   ensure(r < rows_, "CsrMatrix::row_columns: out of range");
   return {col_index_.data() + row_starts_[r], row_starts_[r + 1] - row_starts_[r]};
@@ -90,27 +42,6 @@ std::span<const std::size_t> CsrMatrix::row_columns(std::size_t r) const {
 std::span<const double> CsrMatrix::row_values(std::size_t r) const {
   ensure(r < rows_, "CsrMatrix::row_values: out of range");
   return {values_.data() + row_starts_[r], row_starts_[r + 1] - row_starts_[r]};
-}
-
-CsrMatrix CsrMatrix::transposed() const {
-  std::vector<Triplet> entries;
-  entries.reserve(values_.size());
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = row_starts_[r]; k < row_starts_[r + 1]; ++k) {
-      entries.push_back({col_index_[k], r, values_[k]});
-    }
-  }
-  return CsrMatrix(cols_, rows_, std::move(entries));
-}
-
-std::vector<std::pair<std::size_t, double>> CsrMatrix::row_entries(
-    std::size_t r) const {
-  ensure(r < rows_, "CsrMatrix::row_entries: out of range");
-  std::vector<std::pair<std::size_t, double>> out;
-  for (std::size_t k = row_starts_[r]; k < row_starts_[r + 1]; ++k) {
-    out.emplace_back(col_index_[k], values_[k]);
-  }
-  return out;
 }
 
 }  // namespace maxutil::la

@@ -15,9 +15,8 @@ struct Triplet {
 
 /// Compressed sparse row (CSR) matrix.
 ///
-/// Assembled from triplets (duplicates are summed). Provides the products and
-/// the fixed-point iteration the flow-balance solver needs; not a general
-/// sparse-algebra package.
+/// Assembled from triplets (duplicates are summed). Holds the revised
+/// simplex's constraint matrix; not a general sparse-algebra package.
 class CsrMatrix {
  public:
   /// Builds a rows x cols CSR matrix from `entries`; duplicate (row, col)
@@ -30,33 +29,11 @@ class CsrMatrix {
   /// Number of stored non-zeros (after duplicate accumulation).
   std::size_t nonzeros() const { return values_.size(); }
 
-  /// y = A x.
-  std::vector<double> multiply(std::span<const double> x) const;
-
-  /// y = A^T x.
-  std::vector<double> multiply_transposed(std::span<const double> x) const;
-
-  /// Solves x = b + A x (i.e. (I - A) x = b) by fixed-point iteration,
-  /// which converges when the spectral radius of A is < 1 — guaranteed for
-  /// loop-free routing matrices, where A is (permutable to) strictly
-  /// triangular. Throws if `max_iters` is exhausted before the update falls
-  /// below `tol`.
-  std::vector<double> solve_fixed_point(std::span<const double> b,
-                                        double tol = 1e-12,
-                                        std::size_t max_iters = 100000) const;
-
-  /// Row r as (col, value) pairs, for inspection in tests.
-  std::vector<std::pair<std::size_t, double>> row_entries(std::size_t r) const;
-
   /// Zero-copy views of row r (parallel column-index / value spans) — the
   /// hot-path accessors the revised simplex prices columns through (it
   /// stores the constraint matrix as the CSR of A^T, i.e. CSC of A).
   std::span<const std::size_t> row_columns(std::size_t r) const;
   std::span<const double> row_values(std::size_t r) const;
-
-  /// A^T as a new CsrMatrix (the CSR of the transpose doubles as a CSC view
-  /// of this matrix; entries within each transposed row stay sorted).
-  CsrMatrix transposed() const;
 
  private:
   std::size_t rows_;

@@ -25,9 +25,8 @@ struct SparseColumnView {
 /// computes each L/U column with a depth-first reach over the pattern, so
 /// cost is proportional to arithmetic work, not to n.
 ///
-/// Unlike la::LuFactorization this does not throw on singularity:
-/// `singular()` reports it, because a simplex caller wants to repair the
-/// basis, not unwind.
+/// It does not throw on singularity: `singular()` reports it, because a
+/// simplex caller wants to repair the basis, not unwind.
 class SparseLu {
  public:
   /// Factorizes the n x n matrix whose j-th column is `columns[j]`.

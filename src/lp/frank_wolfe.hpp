@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "lp/model.hpp"
-#include "lp/simplex.hpp"
 
 namespace maxutil::lp {
 
@@ -15,8 +14,6 @@ struct FrankWolfeOptions {
   /// Stop when the Frank-Wolfe duality gap g(x) = grad'(x - s) falls below
   /// this (an a-posteriori optimality certificate).
   double gap_tolerance = 1e-6;
-  /// Options for the inner linear minimization oracle.
-  SimplexOptions simplex;
 };
 
 /// Result of a Frank-Wolfe maximization.
@@ -33,11 +30,12 @@ struct FrankWolfeSolution {
 /// `feasible_region` (an LpProblem whose objective is ignored) using the
 /// Frank-Wolfe method with exact line search by golden-section.
 ///
-/// Each iteration asks the simplex solver for the vertex maximizing the
-/// linearization grad(x)'s — so this reuses the repository's own LP engine
-/// as its oracle — then moves along the segment. Used as an *independent*
-/// reference for concave-utility instances: it certifies the PWL-LP
-/// reference (xform::solve_reference) without sharing its discretization.
+/// Each iteration asks the revised simplex (lp::solve_revised) for the
+/// vertex maximizing the linearization grad(x)'s — so this reuses the
+/// repository's own LP engine as its oracle — then moves along the
+/// segment. Used as an *independent* reference for concave-utility
+/// instances: it certifies the PWL-LP reference (xform::solve_reference)
+/// without sharing its discretization.
 ///
 /// `value` and `gradient` evaluate the concave objective and its gradient at
 /// a point of the polytope (dimension = feasible_region.variable_count()).

@@ -9,6 +9,16 @@ namespace maxutil::lp {
 
 using maxutil::util::ensure;
 
+const char* to_string(LpStatus status) {
+  switch (status) {
+    case LpStatus::kOptimal: return "optimal";
+    case LpStatus::kInfeasible: return "infeasible";
+    case LpStatus::kUnbounded: return "unbounded";
+    case LpStatus::kIterationLimit: return "iteration-limit";
+  }
+  return "unknown";
+}
+
 VarId LpProblem::add_variable(std::string name, double lower, double upper,
                               double objective) {
   ensure(lower <= upper, "LpProblem: variable bounds inverted");

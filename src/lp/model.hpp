@@ -26,9 +26,9 @@ inline constexpr double kInfinity = std::numeric_limits<double>::infinity();
 ///   subject to sum_j a_ij x_j  (rel_i)  b_i   for each constraint i
 ///              lower_j <= x_j <= upper_j      for each variable j
 ///
-/// The simplex solver (simplex.hpp) converts this to standard form
-/// internally; callers never deal with slacks or artificials. Variables
-/// default to [0, +inf) with zero objective coefficient.
+/// The simplex solver (revised_simplex.hpp) handles bounds and row
+/// relations natively; callers never deal with slacks or artificials.
+/// Variables default to [0, +inf) with zero objective coefficient.
 class LpProblem {
  public:
   /// Adds a variable and returns its id. `name` is used in diagnostics only.
@@ -75,6 +75,29 @@ class LpProblem {
   std::vector<double> upper_;
   std::vector<double> objective_;
   std::vector<Row> rows_;
+};
+
+/// Outcome of a simplex solve.
+enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
+
+/// Human-readable status name.
+const char* to_string(LpStatus status);
+
+/// Solver result. `x` is in the natural variable space of the LpProblem
+/// (same indexing as LpProblem VarIds); `objective` is in the problem's
+/// declared sense (i.e. the maximized value for kMaximize problems).
+struct LpSolution {
+  LpStatus status = LpStatus::kIterationLimit;
+  double objective = 0.0;
+  std::vector<double> x;
+  std::size_t iterations = 0;
+  /// Dual value (shadow price) per constraint row, in declaration order:
+  /// the derivative of the optimal objective — in the problem's declared
+  /// sense — with respect to that row's right-hand side. For a capacity row
+  /// `usage <= C` of a maximization, duals[i] is the marginal utility of one
+  /// more unit of capacity (0 when the row is slack). Non-unique at
+  /// degenerate optima, as usual.
+  std::vector<double> duals;
 };
 
 }  // namespace maxutil::lp

@@ -27,6 +27,12 @@ struct Eta {
 
 enum class Phase { kOne, kTwo };
 
+/// Basis pivots between LU refactorizations. The eta file (product-form
+/// updates) grows one sparse column per pivot; refactorizing bounds both the
+/// FTRAN/BTRAN cost and the accumulated roundoff, and recomputes the basic
+/// values from scratch.
+constexpr std::size_t kRefactorInterval = 64;
+
 class RevisedSolver {
  public:
   RevisedSolver(const LpProblem& problem, const RevisedSimplexOptions& options)
@@ -34,7 +40,6 @@ class RevisedSolver {
     m_ = problem.constraint_count();
     n_ = problem.variable_count();
     total_ = n_ + m_;
-    if (opt_.refactor_interval == 0) opt_.refactor_interval = 64;
     max_iters_ = opt_.max_iterations ? opt_.max_iterations
                                      : 200 * (m_ + n_) + 10000;
 
@@ -476,7 +481,7 @@ class RevisedSolver {
       etas_.push_back(std::move(eta));
       ++iters_;
 
-      if (etas_.size() >= opt_.refactor_interval) {
+      if (etas_.size() >= kRefactorInterval) {
         if (!factorize()) return LpStatus::kIterationLimit;
         compute_basic_values();
       }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "lp/model.hpp"
-#include "lp/simplex.hpp"
 
 namespace maxutil::lp {
 
@@ -44,25 +43,22 @@ struct RevisedSimplexOptions {
   /// switch; 0 selects 2*(rows+cols) + 100. Exposed so the anti-cycling
   /// regression tests can force the switch deterministically.
   std::size_t stall_pivot_limit = 0;
-  /// Basis pivots between LU refactorizations. The eta file (product-form
-  /// updates) grows one sparse column per pivot; refactorizing bounds both
-  /// the FTRAN/BTRAN cost and the accumulated roundoff, and recomputes the
-  /// basic values from scratch. Small values favor accuracy, large values
-  /// speed. 0 selects 64.
-  std::size_t refactor_interval = 0;
 };
 
 /// Solves `problem` with a bounded-variable sparse revised simplex: CSC
 /// constraint storage, an la::SparseLu basis factorization plus an eta-file
-/// (product-form) update per pivot with periodic refactorization, Dantzig
-/// pricing with an automatic (or forced) Bland fallback, and a composite
-/// phase 1 that needs no artificial variables. Free and bounded variables
+/// (product-form) update per pivot with a refactorization every 64 pivots,
+/// Dantzig pricing with an automatic (or forced) Bland fallback, and a
+/// composite phase 1 that needs no artificial variables. Free and bounded variables
 /// are handled natively — no column splitting and no bound rows — so the
 /// standard-form blow-up of the dense tableau solver never happens.
 ///
-/// Results match lp::solve on status and objective (the differential
-/// harness in tests/lp_diff_test.cpp pins this); `duals` follows the same
-/// sign convention (d objective-in-declared-sense / d rhs).
+/// The library's only production LP engine: the reference LP
+/// (xform::solve_reference), the `lp`/`lp-sparse` registry solvers and
+/// Frank-Wolfe's linear oracle all solve through it. Results match the
+/// dense tableau oracle lp::solve on status and objective (the
+/// differential harness in tests/lp_diff_test.cpp pins this); `duals` is
+/// d objective-in-declared-sense / d rhs, as documented on LpSolution.
 ///
 /// `warm_basis`, when non-null and non-empty, seeds the solve with a
 /// previous basis (see SimplexBasis); a stale or singular basis silently

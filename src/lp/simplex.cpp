@@ -12,16 +12,6 @@ namespace maxutil::lp {
 using maxutil::la::Matrix;
 using maxutil::util::ensure;
 
-const char* to_string(LpStatus status) {
-  switch (status) {
-    case LpStatus::kOptimal: return "optimal";
-    case LpStatus::kInfeasible: return "infeasible";
-    case LpStatus::kUnbounded: return "unbounded";
-    case LpStatus::kIterationLimit: return "iteration-limit";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// How a natural variable maps onto standard-form (>= 0) columns.

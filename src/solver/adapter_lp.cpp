@@ -1,15 +1,13 @@
-// Registry adapters for the centralized LP reference
-// (xform::solve_reference): the transformed problem solved exactly, with
-// concave utilities encoded piecewise-linearly. Two backends share this
-// translation unit and the solve path: "lp" (dense two-phase tableau) and
-// "lp-sparse" (sparse revised simplex with warm-start basis reuse). Both
-// emit a routing recovered from the optimal vertex
+// Registry adapter for the centralized LP reference
+// (xform::solve_reference): the transformed problem solved exactly by the
+// sparse revised simplex, with concave utilities encoded piecewise-linearly.
+// It is registered under two names, "lp" and "lp-sparse", which run the
+// same solve (the second name is kept for existing pipeline specs). It
+// emits a routing recovered from the optimal vertex
 // (core::routing_from_flows) so pipelines can warm-start iterative stages
 // from the LP optimum.
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 
@@ -32,37 +30,10 @@ Status map_status(lp::LpStatus status) {
   return Status::kFailed;
 }
 
-/// Process-wide basis store for warm-started sparse re-solves: callers that
-/// re-solve a drifting instance pass a stable extra["lp_warm_key"]; the
-/// basis of the previous optimum under that key seeds the next solve.
-/// Layout-mismatched bases are rejected inside solve_revised, so a key that
-/// outlives a topology change degrades to a cold start, never to a wrong
-/// answer.
-lp::SimplexBasis* warm_basis_for(const std::string& key) {
-  static std::mutex mutex;
-  static std::map<std::string, lp::SimplexBasis> store;
-  if (key.empty()) return nullptr;
-  const std::lock_guard<std::mutex> lock(mutex);
-  return &store[key];
-}
-
-SolveResult solve_lp_common(const Problem& problem, const SolveOptions& options,
-                            xform::LpBackend backend) {
+SolveResult solve_lp(const Problem& problem, const SolveOptions& options) {
   xform::ReferenceOptions ro;
   ro.pwl_segments = static_cast<std::size_t>(
       options.extra_number("pwl_segments", static_cast<double>(ro.pwl_segments)));
-  // extra["lp_backend"] overrides the registered default, so any LP-routed
-  // pipeline or CLI invocation can flip implementations without a new
-  // registry name.
-  const std::string requested = options.extra_text(
-      "lp_backend", backend == xform::LpBackend::kSparse ? "sparse" : "dense");
-  ro.backend = requested == "sparse" ? xform::LpBackend::kSparse
-                                     : xform::LpBackend::kDense;
-  if (ro.backend == xform::LpBackend::kSparse) {
-    ro.revised.refactor_interval = static_cast<std::size_t>(
-        options.extra_number("refactor_interval", 0.0));
-    ro.warm_basis = warm_basis_for(options.extra_text("lp_warm_key", ""));
-  }
 
   const auto reference = xform::solve_reference(problem.extended(), ro);
   SolveResult result;
@@ -89,22 +60,13 @@ SolveResult solve_lp_common(const Problem& problem, const SolveOptions& options,
   return result;
 }
 
-SolveResult solve_lp(const Problem& problem, const SolveOptions& options) {
-  return solve_lp_common(problem, options, xform::LpBackend::kDense);
-}
-
-SolveResult solve_lp_sparse(const Problem& problem,
-                            const SolveOptions& options) {
-  return solve_lp_common(problem, options, xform::LpBackend::kSparse);
-}
-
 }  // namespace
 
 void register_lp_solver(SolverRegistry& registry) {
   SolverInfo info;
   info.name = "lp";
   info.description =
-      "centralized LP reference: two-phase simplex on the transformed "
+      "centralized LP reference: sparse revised simplex on the transformed "
       "problem (PWL-encoded concave utilities)";
   info.emits_routing = true;
   info.solve = solve_lp;
@@ -114,12 +76,9 @@ void register_lp_solver(SolverRegistry& registry) {
 void register_lp_sparse_solver(SolverRegistry& registry) {
   SolverInfo info;
   info.name = "lp-sparse";
-  info.description =
-      "centralized LP reference on the sparse revised simplex: LU-factored "
-      "basis with eta updates, warm-startable via extra[\"lp_warm_key\"]";
+  info.description = "the same solve as 'lp' (alias kept for existing specs)";
   info.emits_routing = true;
-  info.supports_warm_start = true;
-  info.solve = solve_lp_sparse;
+  info.solve = solve_lp;
   registry.add(std::move(info));
 }
 

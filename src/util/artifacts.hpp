@@ -28,7 +28,7 @@ std::optional<std::string> save_series(const TimeSeries& series,
 struct BenchRecord {
   std::string name;
   std::vector<std::pair<std::string, double>> metrics;
-  std::vector<std::pair<std::string, bool>> flags;
+  std::vector<std::pair<std::string, bool>> flags = {};
 };
 
 /// One "meta" entry of a bench artifact. `raw` emits the value verbatim as

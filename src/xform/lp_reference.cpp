@@ -6,6 +6,7 @@
 
 #include "lp/frank_wolfe.hpp"
 #include "lp/pwl.hpp"
+#include "lp/revised_simplex.hpp"
 #include "util/check.hpp"
 
 namespace maxutil::xform {
@@ -125,11 +126,7 @@ ReferenceSolution solve_reference(const ExtendedGraph& xg,
     }
   }
 
-  const auto lp_solution =
-      options.backend == LpBackend::kSparse
-          ? maxutil::lp::solve_revised(problem, options.revised,
-                                       options.warm_basis)
-          : maxutil::lp::solve(problem, options.simplex);
+  const auto lp_solution = maxutil::lp::solve_revised(problem);
 
   ReferenceSolution out;
   out.status = lp_solution.status;

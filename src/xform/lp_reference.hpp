@@ -4,38 +4,25 @@
 #include <utility>
 #include <vector>
 
-#include "lp/revised_simplex.hpp"
-#include "lp/simplex.hpp"
+#include "lp/model.hpp"
 #include "xform/extended_graph.hpp"
 
 namespace maxutil::xform {
 
-/// Which simplex implementation solves the reference LP.
-enum class LpBackend {
-  kDense,   // lp::solve — dense two-phase tableau (reference implementation)
-  kSparse,  // lp::solve_revised — sparse revised simplex, warm-startable
-};
+/// The simplex implementation that solves the reference LP. There is one,
+/// lp::solve_revised. This enum and ReferenceOptions::backend exist only
+/// because perfbench/ assigns `backend = LpBackend::kSparse`; delete both
+/// once the benchmark sources stop doing so.
+enum class LpBackend { kSparse };
 
-/// Options for the centralized LP reference solve.
+/// Options for the centralized LP reference solve (lp::solve_revised).
 struct ReferenceOptions {
   /// Piecewise-linear segments used per non-linear utility (linear utilities
   /// are encoded exactly). More segments shrink the concave-approximation
   /// gap at the cost of LP size.
   std::size_t pwl_segments = 200;
-  lp::SimplexOptions simplex;
-  /// Backend selection. Both produce the same statuses, objectives (within
-  /// tolerance) and dual conventions; kSparse scales to instances whose
-  /// dense tableau would not fit in memory and supports warm starts.
-  LpBackend backend = LpBackend::kDense;
-  /// Knobs for the kSparse backend (ignored by kDense).
-  lp::RevisedSimplexOptions revised;
-  /// Optional warm-start basis for kSparse: when non-null, a previous basis
-  /// is adopted on entry and the final basis is written back, so repeated
-  /// solves of a drifting instance (churn, admission batches) re-pivot from
-  /// the last optimum. The basis is only portable across solves whose
-  /// polytope has identical variable/constraint layout; a mismatched basis
-  /// is ignored.
-  lp::SimplexBasis* warm_basis = nullptr;
+  /// Source compatibility only (see LpBackend); the value is not read.
+  LpBackend backend = LpBackend::kSparse;
   /// Generate human-readable variable names ("y[j3,e17]", "a3.seg0") for the
   /// polytope and PWL variables. Names are diagnostics-only; building the
   /// strings dominates polytope assembly at scale, so they are off by
@@ -104,7 +91,7 @@ ReferenceSolution solve_reference(const ExtendedGraph& xg,
 
 /// Independent cross-check for concave utilities: maximizes sum U_j(a_j)
 /// over the same polytope with the Frank-Wolfe method (exact line search,
-/// simplex as the linear oracle) — no PWL discretization involved. Returns
+/// the revised simplex as the linear oracle) — no PWL discretization involved. Returns
 /// the achieved utility, admitted rates, and the final duality gap, which
 /// certifies the distance to the true optimum.
 struct FrankWolfeReference {

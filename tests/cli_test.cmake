@@ -98,4 +98,20 @@ if(NOT unknown_err MATCHES "unknown flag --partition")
           "solve --partition chunked did not name the flag: ${unknown_err}")
 endif()
 
+# The dense-tableau LP selector is gone with the dense production engine:
+# `lp` always runs the revised simplex, so --lp-backend is an unknown flag.
+execute_process(COMMAND ${CLI} solve ${scenario_file} --algo lp
+                        --lp-backend dense
+                OUTPUT_VARIABLE backend_out
+                ERROR_VARIABLE backend_err
+                RESULT_VARIABLE backend_result)
+if(NOT backend_result EQUAL 1)
+  message(FATAL_ERROR
+          "solve --lp-backend dense exited ${backend_result}, expected 1")
+endif()
+if(NOT backend_err MATCHES "unknown flag --lp-backend")
+  message(FATAL_ERROR
+          "solve --lp-backend dense did not name the flag: ${backend_err}")
+endif()
+
 message(STATUS "cli_test: all checks passed (lp=${lp_value}, gradient=${grad_value})")

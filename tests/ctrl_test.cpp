@@ -276,6 +276,44 @@ TEST(Controller, ColdStartArmNeverWarmStarts) {
   EXPECT_EQ(report.cold_starts, 2u);
 }
 
+TEST(Controller, BudgetExhaustedReSolvesAreCountedNotFailed) {
+  // A tiny watchdog budget stops every re-solve at its iteration limit. The
+  // result is usable, so the controller neither retries nor fails it: it
+  // counts the event as budget-exhausted and keeps the stopped solve's plan.
+  const auto net = maxutil::gen::figure1_example();
+  ControllerOptions options = fast_options();
+  options.watchdog_iterations = 5;
+  options.use_warm_start = false;  // cold, so the re-solve is reproducible
+  Controller controller(net, options);
+  const EventOutcome outcome =
+      controller.apply(parse_churn_plan("cap=Server 3*0.5@1").events[0]);
+  EXPECT_EQ(outcome.status, maxutil::solver::Status::kIterationLimit);
+  EXPECT_FALSE(outcome.watchdog_retry);
+  EXPECT_EQ(controller.report().budget_exhausted, 1u);
+  EXPECT_EQ(controller.report().failures, 0u);
+  const auto& metrics = controller.metrics();
+  const auto counted = metrics.find("ctrl_budget_exhausted_total");
+  ASSERT_TRUE(counted.has_value());
+  EXPECT_EQ(metrics.counter_value(*counted), 1u);
+  EXPECT_NE(controller.report().summary().find("budget exhausted 1"),
+            std::string::npos);
+
+  // Routing and utility are those of the same budget-stopped cold solve run
+  // directly: counting the stall changes no decision.
+  maxutil::solver::SolveOptions so = options.solve;
+  so.max_iterations = options.watchdog_iterations;
+  so.record_history = true;
+  const maxutil::solver::Problem problem(controller.network(),
+                                         options.penalty);
+  const maxutil::solver::SolveResult direct =
+      maxutil::solver::Pipeline::parse(options.pipeline).run(problem, so);
+  EXPECT_EQ(direct.status, maxutil::solver::Status::kIterationLimit);
+  ASSERT_TRUE(direct.routing.has_value());
+  EXPECT_EQ(controller.utility(), direct.utility);
+  EXPECT_EQ(controller.admitted(), direct.admitted);
+  EXPECT_EQ(controller.routing().max_difference(*direct.routing), 0.0);
+}
+
 // --- Controller: validation errors ---
 
 TEST(Controller, RejectsInvalidEvents) {

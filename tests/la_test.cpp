@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
-#include "la/lu.hpp"
 #include "la/matrix.hpp"
 #include "la/sparse.hpp"
-#include "la/vector_ops.hpp"
+#include "la/sparse_lu.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -14,33 +14,37 @@
 namespace {
 
 using maxutil::la::CsrMatrix;
-using maxutil::la::LuFactorization;
 using maxutil::la::Matrix;
+using maxutil::la::SparseColumnView;
+using maxutil::la::SparseLu;
 using maxutil::la::Triplet;
 using maxutil::util::CheckError;
 using maxutil::util::Rng;
 
-TEST(VectorOps, DotAxpyNorms) {
-  const std::vector<double> a{1.0, 2.0, 3.0};
-  const std::vector<double> b{4.0, 5.0, 6.0};
-  EXPECT_DOUBLE_EQ(maxutil::la::dot(a, b), 32.0);
-  std::vector<double> y = b;
-  maxutil::la::axpy(2.0, a, y);
-  EXPECT_DOUBLE_EQ(y[0], 6.0);
-  EXPECT_DOUBLE_EQ(y[2], 12.0);
-  EXPECT_DOUBLE_EQ(maxutil::la::norm_inf(a), 3.0);
-  EXPECT_DOUBLE_EQ(maxutil::la::norm2(std::vector<double>{3.0, 4.0}), 5.0);
-  EXPECT_DOUBLE_EQ(maxutil::la::sum(a), 6.0);
-  const auto d = maxutil::la::subtract(b, a);
-  EXPECT_DOUBLE_EQ(d[0], 3.0);
-}
+/// Column-wise (row, value) copy of a dense matrix's non-zeros — the input
+/// shape SparseLu factorizes. Keeps the storage the views point into.
+struct Columns {
+  explicit Columns(const Matrix& a) : rows(a.cols()), values(a.cols()) {
+    for (std::size_t c = 0; c < a.cols(); ++c) {
+      for (std::size_t r = 0; r < a.rows(); ++r) {
+        if (a(r, c) == 0.0) continue;
+        rows[c].push_back(static_cast<std::uint32_t>(r));
+        values[c].push_back(a(r, c));
+      }
+      views.push_back({rows[c], values[c]});
+    }
+  }
+  std::vector<std::vector<std::uint32_t>> rows;
+  std::vector<std::vector<double>> values;
+  std::vector<SparseColumnView> views;
+};
 
-TEST(VectorOps, SizeMismatchThrows) {
-  const std::vector<double> a{1.0};
-  const std::vector<double> b{1.0, 2.0};
-  EXPECT_THROW(maxutil::la::dot(a, b), CheckError);
-  std::vector<double> y{1.0};
-  EXPECT_THROW(maxutil::la::axpy(1.0, b, y), CheckError);
+/// Solves A x = b through a SparseLu factorization of `a`.
+std::vector<double> solve_sparse(const Matrix& a, std::vector<double> b) {
+  const Columns columns(a);
+  const SparseLu lu(a.rows(), columns.views);
+  lu.solve_in_place(b);
+  return b;
 }
 
 TEST(Matrix, ConstructionAndAccess) {
@@ -102,7 +106,7 @@ TEST(Matrix, SwapRows) {
 TEST(Lu, SolvesKnownSystem) {
   // x + 2y = 5; 3x + 4y = 11  ->  x = 1, y = 2.
   const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  const auto x = maxutil::la::solve_dense(a, std::vector<double>{5.0, 11.0});
+  const auto x = solve_sparse(a, {5.0, 11.0});
   ASSERT_EQ(x.size(), 2u);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
@@ -111,26 +115,27 @@ TEST(Lu, SolvesKnownSystem) {
 TEST(Lu, RequiresPivoting) {
   // Zero top-left pivot forces a row swap.
   const Matrix a{{0.0, 1.0}, {1.0, 0.0}};
-  const auto x = maxutil::la::solve_dense(a, std::vector<double>{3.0, 7.0});
+  const auto x = solve_sparse(a, {3.0, 7.0});
   EXPECT_NEAR(x[0], 7.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
 
 TEST(Lu, SingularThrows) {
+  // A singular basis is reported, not thrown at construction (a simplex
+  // caller repairs it); solving with it throws.
   const Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_THROW(LuFactorization{a}, CheckError);
+  const Columns columns(a);
+  const SparseLu lu(2, columns.views);
+  EXPECT_TRUE(lu.singular());
+  std::vector<double> b{1.0, 1.0};
+  EXPECT_THROW(lu.solve_in_place(b), CheckError);
+  EXPECT_THROW(lu.solve_transposed_in_place(b), CheckError);
 }
 
 TEST(Lu, NonSquareThrows) {
-  const Matrix a(2, 3);
-  EXPECT_THROW(LuFactorization{a}, CheckError);
-}
-
-TEST(Lu, Determinant) {
-  const Matrix a{{2.0, 0.0}, {0.0, 3.0}};
-  EXPECT_NEAR(LuFactorization(a).determinant(), 6.0, 1e-12);
-  const Matrix swapped{{0.0, 1.0}, {1.0, 0.0}};
-  EXPECT_NEAR(LuFactorization(swapped).determinant(), -1.0, 1e-12);
+  const Matrix a{{1.0, 0.0, 1.0}, {0.0, 1.0, 1.0}};
+  const Columns columns(a);
+  EXPECT_THROW(SparseLu(2, columns.views), CheckError);
 }
 
 TEST(Lu, RandomRoundTrip) {
@@ -144,8 +149,7 @@ TEST(Lu, RandomRoundTrip) {
     }
     std::vector<double> x_true(n);
     for (auto& v : x_true) v = rng.uniform(-10.0, 10.0);
-    const auto b = a.multiply(x_true);
-    const auto x = maxutil::la::solve_dense(a, b);
+    const auto x = solve_sparse(a, a.multiply(x_true));
     EXPECT_LT(maxutil::util::max_abs_diff(x, x_true), 1e-8);
   }
 }
@@ -160,9 +164,11 @@ TEST(Lu, TransposedSolveRoundTrip) {
   }
   std::vector<double> x_true(n);
   for (auto& v : x_true) v = rng.uniform(-5.0, 5.0);
-  const auto b = a.multiply_transposed(x_true);  // b = A^T x
-  const LuFactorization lu(a);
-  const auto x = lu.solve_transposed(b);
+  std::vector<double> x = a.multiply_transposed(x_true);  // b = A^T x
+  const Columns columns(a);
+  const SparseLu lu(n, columns.views);
+  ASSERT_FALSE(lu.singular());
+  lu.solve_transposed_in_place(x);
   EXPECT_LT(maxutil::util::max_abs_diff(x, x_true), 1e-9);
 }
 
@@ -170,17 +176,23 @@ TEST(Csr, AssemblyAccumulatesDuplicates) {
   CsrMatrix m(2, 2,
               {{0, 1, 2.0}, {0, 1, 3.0}, {1, 0, 1.0}});
   EXPECT_EQ(m.nonzeros(), 2u);
-  const auto row0 = m.row_entries(0);
-  ASSERT_EQ(row0.size(), 1u);
-  EXPECT_EQ(row0[0].first, 1u);
-  EXPECT_DOUBLE_EQ(row0[0].second, 5.0);
+  ASSERT_EQ(m.row_columns(0).size(), 1u);
+  EXPECT_EQ(m.row_columns(0)[0], 1u);
+  EXPECT_DOUBLE_EQ(m.row_values(0)[0], 5.0);
+  ASSERT_EQ(m.row_columns(1).size(), 1u);
+  EXPECT_EQ(m.row_columns(1)[0], 0u);
+  EXPECT_DOUBLE_EQ(m.row_values(1)[0], 1.0);
+  EXPECT_THROW(m.row_columns(2), CheckError);
 }
 
 TEST(Csr, OutOfRangeEntryThrows) {
   EXPECT_THROW(CsrMatrix(2, 2, {{2, 0, 1.0}}), CheckError);
+  EXPECT_THROW(CsrMatrix(2, 2, {{0, 2, 1.0}}), CheckError);
 }
 
 TEST(Csr, MultiplyMatchesDense) {
+  // Products taken through the row views (A x by rows, A^T y by scattering
+  // rows — how the revised simplex reads its CSC copy) match la::Matrix.
   Rng rng(107);
   const std::size_t n = 20;
   Matrix dense(n, n);
@@ -195,39 +207,25 @@ TEST(Csr, MultiplyMatchesDense) {
     }
   }
   const CsrMatrix sparse(n, n, entries);
+  EXPECT_EQ(sparse.nonzeros(), entries.size());
   std::vector<double> x(n);
   for (auto& v : x) v = rng.uniform(-3.0, 3.0);
-  EXPECT_LT(maxutil::util::max_abs_diff(sparse.multiply(x), dense.multiply(x)),
+  std::vector<double> ax(n, 0.0), atx(n, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto cols = sparse.row_columns(r);
+    const auto vals = sparse.row_values(r);
+    ASSERT_EQ(cols.size(), vals.size());
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      if (k > 0) {
+        EXPECT_LT(cols[k - 1], cols[k]);  // sorted within a row
+      }
+      ax[r] += vals[k] * x[cols[k]];
+      atx[cols[k]] += vals[k] * x[r];
+    }
+  }
+  EXPECT_LT(maxutil::util::max_abs_diff(ax, dense.multiply(x)), 1e-12);
+  EXPECT_LT(maxutil::util::max_abs_diff(atx, dense.multiply_transposed(x)),
             1e-12);
-  EXPECT_LT(maxutil::util::max_abs_diff(sparse.multiply_transposed(x),
-                                        dense.multiply_transposed(x)),
-            1e-12);
-}
-
-TEST(Csr, FixedPointSolvesTriangularSystem) {
-  // x = b + A x with A strictly lower-triangular (loop-free routing shape).
-  const CsrMatrix a(3, 3, {{1, 0, 0.5}, {2, 0, 0.25}, {2, 1, 0.5}});
-  const std::vector<double> b{1.0, 0.0, 0.0};
-  const auto x = a.solve_fixed_point(b);
-  EXPECT_NEAR(x[0], 1.0, 1e-10);
-  EXPECT_NEAR(x[1], 0.5, 1e-10);
-  EXPECT_NEAR(x[2], 0.5, 1e-10);
-}
-
-TEST(Csr, FixedPointContractiveCycleConverges) {
-  // A has a cycle but spectral radius 0.25 < 1.
-  const CsrMatrix a(2, 2, {{0, 1, 0.5}, {1, 0, 0.5}});
-  const std::vector<double> b{1.0, 0.0};
-  const auto x = a.solve_fixed_point(b);
-  // x0 = 1 + 0.5 x1, x1 = 0.5 x0  ->  x0 = 4/3, x1 = 2/3.
-  EXPECT_NEAR(x[0], 4.0 / 3.0, 1e-9);
-  EXPECT_NEAR(x[1], 2.0 / 3.0, 1e-9);
-}
-
-TEST(Csr, FixedPointDivergesOnExpandingCycle) {
-  const CsrMatrix a(2, 2, {{0, 1, 2.0}, {1, 0, 2.0}});
-  const std::vector<double> b{1.0, 1.0};
-  EXPECT_THROW(a.solve_fixed_point(b, 1e-12, 200), CheckError);
 }
 
 }  // namespace

@@ -59,7 +59,7 @@ TEST(SolverRegistry, CapabilityFlagsMatchTheBackends) {
   EXPECT_FALSE(registry.find("lp")->supports_warm_start);
   EXPECT_FALSE(registry.find("fw")->emits_routing);
   EXPECT_TRUE(registry.find("lp-sparse")->emits_routing);
-  EXPECT_TRUE(registry.find("lp-sparse")->supports_warm_start);
+  EXPECT_FALSE(registry.find("lp-sparse")->supports_warm_start);
 }
 
 TEST(SolverRegistry, UnknownSolverThrowsWithLiveNames) {

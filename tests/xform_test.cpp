@@ -6,7 +6,7 @@
 #include "gen/figure1.hpp"
 #include "gen/random_instance.hpp"
 #include "graph/algorithms.hpp"
-#include "lp/simplex.hpp"
+#include "lp/model.hpp"
 #include "stream/model.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
