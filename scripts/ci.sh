@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point. Phase 1: default-preset build + the full ctest suite
-# (unit + integration + cli_smoke + docs_lint). Phase 2: ThreadSanitizer
+# CI entry point. Phase 1: default-preset build with warnings as errors
+# (-Werror) + the full ctest suite (unit + integration + cli_smoke +
+# docs_lint). Phase 2: ThreadSanitizer
 # pass over the two concurrency-sensitive binaries — the parallel runtime
 # tests and the fault-injection tests (faulted threaded runs are sharded and
 # route every send through the serial cross-shard merge). Phase 3: AddressSanitizer pass
@@ -29,7 +30,9 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 2)
 
-cmake --preset default
+# Every target the default preset builds here (library, tests, benches,
+# tools) compiles warning-free; -Werror keeps it that way.
+cmake --preset default -DCMAKE_CXX_FLAGS=-Werror
 cmake --build --preset default -j"${jobs}"
 ctest --preset default
 
@@ -88,8 +91,11 @@ if command -v python3 >/dev/null 2>&1; then
 fi
 rm -rf "${lp_dir}"
 
-# Churn-controller leg: the plan/controller suites in isolation, then the
-# E17 smoke bench — its shape checks fail the run and its JSON must parse.
+# Churn-controller leg: the plan/controller suites in isolation (the
+# carried simplex basis included: Controller.LpCarriedBasis*,
+# Controller.LpExportImportRoundTripsTheBases and
+# Controller.VersionOneStateBlobIsRefused), then the E17 smoke bench — its
+# shape checks fail the run and its JSON must parse.
 ctest --preset default -R "ChurnPlan|Controller"
 cmake --build --preset default -j"${jobs}" --target bench_churn
 churn_dir=$(mktemp -d /tmp/maxutil_churn.XXXXXX)
@@ -132,10 +138,13 @@ else
   echo "ci.sh: python3 not found; skipping --trace/--compare-json JSON checks"
 fi
 
-# Serve leg: replay the canned demo stream through the admission-serving
-# daemon (the decision log is deterministic; a failed re-solve exits
+# Serve leg: the daemon and recovery suites by name (kill-at-every-WAL-
+# record under the gradient and the lp pipeline, budget-exhausted
+# accounting), then replay the canned demo stream through the admission-
+# serving daemon (the decision log is deterministic; a failed re-solve exits
 # non-zero), json.tool-check its --json metrics export, then the E18 smoke
 # bench — its shape checks gate replay determinism across 1/2/8 threads.
+ctest --preset default -R "ServeDaemon|ServeRecovery"
 serve_json=$(mktemp /tmp/maxutil_serve.XXXXXX.json)
 ./build/tools/maxutil_cli serve examples/scenarios/fair_share.maxutil \
   --input examples/serve_demo.events --window 2 --json "${serve_json}" \

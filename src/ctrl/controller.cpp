@@ -100,6 +100,17 @@ std::size_t read_size(std::istream& in) {
   return v;
 }
 
+/// One character per simplex column status in export_state's basis line.
+constexpr char kBasisCodes[] = {'L', 'U', 'B', 'F'};  // BasisStatus order
+
+lp::BasisStatus parse_basis_code(char code) {
+  for (std::size_t k = 0; k < sizeof(kBasisCodes); ++k) {
+    if (kBasisCodes[k] == code) return static_cast<lp::BasisStatus>(k);
+  }
+  ensure(false, std::string("ctrl state: bad basis status '") + code + "'");
+  return lp::BasisStatus::kAtLower;
+}
+
 std::string status_cell(const EventOutcome& outcome) {
   if (outcome.exact_restore) return "exact";
   std::string start = outcome.warm_started ? "warm" : "cold";
@@ -169,6 +180,7 @@ Controller::Controller(const stream::StreamNetwork& baseline,
   ensure(last != nullptr && last->emits_routing,
          "Controller: pipeline's last stage '" + pipeline_.stages().back() +
              "' does not emit a routing (needed to warm-start the next event)");
+  lp_pipeline_ = pipeline_.any_stage(&solver::SolverInfo::supports_warm_basis);
   if (options_.solve.tolerance <= 0.0) options_.solve.tolerance = 1e-7;
 
   // Normalize through an identity rebuild: every later topology is produced
@@ -187,7 +199,7 @@ Controller::Controller(const stream::StreamNetwork& baseline,
 
   EventOutcome boot;
   const solver::SolveResult result =
-      watchdogged_solve(*state_->problem, std::nullopt, boot);
+      watchdogged_solve(*state_->problem, std::nullopt, nullptr, boot);
   ensure(solver::is_usable(result.status),
          "Controller: initial solve failed: " +
              (result.message.empty() ? std::string(to_string(result.status))
@@ -197,6 +209,7 @@ Controller::Controller(const stream::StreamNetwork& baseline,
   routing_ = result.routing;
   admitted_ = result.admitted;
   utility_ = result.utility;
+  if (result.basis.has_value()) basis_ = {config_, *result.basis};
   report_.initial_utility = utility_;
   report_.final_utility = utility_;
   metrics_.set(m_utility_, utility_);
@@ -230,6 +243,9 @@ void Controller::register_metrics() {
   m_budget_exhausted_ = metrics_.counter(
       "ctrl_budget_exhausted_total",
       "events whose final re-solve stopped at its iteration budget");
+  m_lp_warm_basis_ = metrics_.counter(
+      "ctrl_lp_warm_basis_total",
+      "LP re-solves and reference solves started from the carried basis");
   m_recovered_ = metrics_.counter(
       "ctrl_recovered_total", "events whose utility re-entered the band");
   m_utility_ = metrics_.gauge("ctrl_utility", "utility after the last event");
@@ -307,9 +323,17 @@ stream::CommodityId Controller::resolve_commodity(const std::string& text,
   return 0;
 }
 
+const lp::SimplexBasis* Controller::carried_basis(const Config& config) const {
+  if (!options_.use_warm_start || basis_.basis.empty() ||
+      !(basis_.layout == static_cast<const Layout&>(config))) {
+    return nullptr;
+  }
+  return &basis_.basis;
+}
+
 solver::SolveResult Controller::watchdogged_solve(
     const solver::Problem& problem, std::optional<core::RoutingState> warm,
-    EventOutcome& outcome) {
+    const lp::SimplexBasis* warm_basis, EventOutcome& outcome) {
   solver::SolveOptions so = options_.solve;
   so.record_history = true;  // the recovery SLOs read the utility trace
   if (options_.watchdog_iterations > 0 &&
@@ -318,6 +342,10 @@ solver::SolveResult Controller::watchdogged_solve(
     so.max_iterations = options_.watchdog_iterations;
   }
   so.warm_start = std::move(warm);
+  if (lp_pipeline_ && warm_basis != nullptr) {
+    so.warm_basis = *warm_basis;
+    metrics_.add(m_lp_warm_basis_);
+  }
 
   solver::SolveResult result = pipeline_.run(problem, so);
   outcome.iterations = result.iterations;
@@ -330,6 +358,7 @@ solver::SolveResult Controller::watchdogged_solve(
     outcome.watchdog_retry = true;
     metrics_.add(m_retries_);
     solver::SolveOptions retry = so;
+    retry.warm_basis.reset();  // the retry's LP starts cold
     const double base_eta =
         so.eta > 0.0 ? so.eta : (so.curvature_scaled ? 1.0 : 0.04);
     retry.eta = base_eta * options_.retry_eta_factor;
@@ -340,6 +369,19 @@ solver::SolveResult Controller::watchdogged_solve(
   outcome.status = result.status;
   outcome.message = result.message;
   return result;
+}
+
+double Controller::reference_optimum(EventOutcome& outcome) {
+  const lp::SimplexBasis* carried = carried_basis(config_);
+  lp::SimplexBasis basis = carried != nullptr ? *carried : lp::SimplexBasis{};
+  if (carried != nullptr) metrics_.add(m_lp_warm_basis_);
+  const xform::ReferenceSolution reference =
+      xform::solve_reference(extended(), {}, &basis);
+  outcome.reference_pivots = reference.iterations;
+  if (reference.status == lp::LpStatus::kOptimal) {
+    basis_ = {config_, std::move(basis)};
+  }
+  return reference.optimal_utility;
 }
 
 std::optional<std::pair<char, std::size_t>> Controller::stage_event(
@@ -448,11 +490,11 @@ EventOutcome Controller::apply(const ChurnEvent& event) {
   if (event.kind == ChurnEventKind::kCrash) {
     snapshots_.insert_or_assign(
         {'n', resolve_node(event.node, "crash")},
-        Snapshot{config_, *routing_, admitted_, utility_});
+        Snapshot{config_, *routing_, admitted_, utility_, basis_});
   } else if (event.kind == ChurnEventKind::kDepart) {
     snapshots_.insert_or_assign(
         {'c', resolve_commodity(event.commodity, "depart")},
-        Snapshot{config_, *routing_, admitted_, utility_});
+        Snapshot{config_, *routing_, admitted_, utility_, basis_});
   }
   metrics_.add(kind_metric(event.kind));
   metrics_.add(m_events_);
@@ -474,17 +516,17 @@ EventOutcome Controller::apply(const ChurnEvent& event) {
       routing_ = it->second.routing;
       admitted_ = it->second.admitted;
       utility_ = it->second.utility;
+      basis_ = std::move(it->second.basis);
       snapshots_.erase(it);
 
       outcome.exact_restore = true;
+      outcome.lp_warm_basis =
+          options_.lp_reference && carried_basis(config_) != nullptr;
       outcome.status = solver::Status::kConverged;
       outcome.recovery_iterations = 0;
       outcome.utility_before = utility_;
       outcome.utility_after = utility_;
-      if (options_.lp_reference) {
-        outcome.optimum =
-            xform::solve_reference(state_->problem->extended()).optimal_utility;
-      }
+      if (options_.lp_reference) outcome.optimum = reference_optimum(outcome);
       metrics_.add(m_exact_restores_);
       metrics_.add(m_recovered_);
       metrics_.observe(m_recovery_hist_, 0.0);
@@ -563,8 +605,11 @@ EventOutcome Controller::apply(const ChurnEvent& event) {
 
   const core::RoutingState interim =
       warm.has_value() ? *warm : core::RoutingState::initial(new_xg);
+  const lp::SimplexBasis* carried = carried_basis(next);
+  outcome.lp_warm_basis =
+      carried != nullptr && (lp_pipeline_ || options_.lp_reference);
   const solver::SolveResult result =
-      watchdogged_solve(*next_state->problem, warm, outcome);
+      watchdogged_solve(*next_state->problem, warm, carried, outcome);
 
   const bool usable = solver::is_usable(result.status);
   state_ = std::move(next_state);
@@ -575,6 +620,7 @@ EventOutcome Controller::apply(const ChurnEvent& event) {
     routing_ = result.routing;
     admitted_ = result.admitted;
     utility_ = result.utility;
+    if (result.basis.has_value()) basis_ = {config_, *result.basis};
   } else {
     // The topology change stands regardless; keep operating on the degraded
     // interim point until a later event's re-solve succeeds.
@@ -592,8 +638,7 @@ EventOutcome Controller::apply(const ChurnEvent& event) {
   // Recovery SLOs against the post-event optimum.
   outcome.recovery_iterations = kNotRecovered;
   if (options_.lp_reference) {
-    outcome.optimum =
-        xform::solve_reference(state_->problem->extended()).optimal_utility;
+    outcome.optimum = reference_optimum(outcome);
     const double threshold =
         outcome.optimum -
         options_.recovery_band * std::max(1.0, std::abs(outcome.optimum));
@@ -751,8 +796,8 @@ BatchOutcome Controller::apply_batch(const std::vector<ChurnEvent>& events) {
   EventOutcome solve_fields;  // watchdogged_solve reports through this shape
   const core::RoutingState interim =
       warm.has_value() ? *warm : core::RoutingState::initial(new_xg);
-  const solver::SolveResult result =
-      watchdogged_solve(*next_state->problem, warm, solve_fields);
+  const solver::SolveResult result = watchdogged_solve(
+      *next_state->problem, warm, carried_basis(next), solve_fields);
   outcome.status = solve_fields.status;
   outcome.watchdog_retry = solve_fields.watchdog_retry;
   outcome.iterations = solve_fields.iterations;
@@ -768,6 +813,7 @@ BatchOutcome Controller::apply_batch(const std::vector<ChurnEvent>& events) {
     routing_ = result.routing;
     admitted_ = result.admitted;
     utility_ = result.utility;
+    if (result.basis.has_value()) basis_ = {config_, *result.basis};
   } else {
     routing_ = interim;
     const core::FlowState flows = core::compute_flows(new_xg, interim);
@@ -804,15 +850,14 @@ BatchOutcome Controller::apply_batch(const std::vector<ChurnEvent>& events) {
 
 void Controller::export_state(std::ostream& out) const {
   ensure(routing_.has_value(), "Controller: not initialized");
-  const auto write_config = [&out](const Config& config) {
-    for (const char v : config.node_down) out << static_cast<int>(v) << ' ';
+  const auto write_flags = [&out](const std::vector<char>& flags) {
+    for (const char v : flags) out << static_cast<int>(v) << ' ';
     out << '\n';
-    for (const char v : config.link_down) out << static_cast<int>(v) << ' ';
-    out << '\n';
-    for (const char v : config.commodity_absent) {
-      out << static_cast<int>(v) << ' ';
-    }
-    out << '\n';
+  };
+  const auto write_config = [&](const Config& config) {
+    write_flags(config.node_down);
+    write_flags(config.link_down);
+    write_flags(config.commodity_absent);
     for (const double v : config.cap_factor) out << hex_double(v) << ' ';
     out << '\n';
     for (const double v : config.bw_factor) out << hex_double(v) << ' ';
@@ -832,8 +877,21 @@ void Controller::export_state(std::ostream& out) const {
     for (const double v : admitted) out << hex_double(v) << ' ';
     out << '\n';
   };
+  // Column count, then (when non-empty) the basis's layout and one status
+  // character per column.
+  const auto write_basis = [&](const CarriedBasis& carried) {
+    out << carried.basis.status.size() << '\n';
+    if (carried.basis.empty()) return;
+    write_flags(carried.layout.node_down);
+    write_flags(carried.layout.link_down);
+    write_flags(carried.layout.commodity_absent);
+    for (const lp::BasisStatus status : carried.basis.status) {
+      out << kBasisCodes[static_cast<std::size_t>(status)];
+    }
+    out << '\n';
+  };
 
-  out << "maxutil-ctrl-state 1\n";
+  out << "maxutil-ctrl-state 2\n";
   out << baseline_.node_count() << ' ' << baseline_.link_count() << ' '
       << baseline_.commodity_count() << '\n';
   write_config(config_);
@@ -841,6 +899,7 @@ void Controller::export_state(std::ostream& out) const {
   write_admitted(admitted_);
   out << hex_double(utility_) << '\n';
   out << events_applied_ << '\n';
+  write_basis(basis_);
   out << snapshots_.size() << '\n';
   for (const auto& [key, snapshot] : snapshots_) {
     out << key.first << ' ' << key.second << ' '
@@ -848,6 +907,7 @@ void Controller::export_state(std::ostream& out) const {
     write_config(snapshot.config);
     write_routing(snapshot.routing);
     write_admitted(snapshot.admitted);
+    write_basis(snapshot.basis);
   }
   out << "end\n";
 }
@@ -856,24 +916,26 @@ void Controller::import_state(std::istream& in) {
   std::string magic;
   ensure(static_cast<bool>(in >> magic) && magic == "maxutil-ctrl-state",
          "ctrl state: bad magic (not an export_state blob)");
-  ensure(read_size(in) == 1, "ctrl state: unsupported version");
+  ensure(read_size(in) == 2, "ctrl state: unsupported version");
   ensure(read_size(in) == baseline_.node_count() &&
              read_size(in) == baseline_.link_count() &&
              read_size(in) == baseline_.commodity_count(),
          "ctrl state: baseline shape mismatch (the blob was exported against "
          "a different network)");
 
-  const auto read_config = [&in, this]() {
+  const auto read_flags = [&in](std::size_t count) {
+    std::vector<char> flags(count);
+    for (char& v : flags) v = read_size(in) != 0 ? 1 : 0;
+    return flags;
+  };
+  const auto read_config = [&, this]() {
     Config config;
-    config.node_down.resize(baseline_.node_count());
-    config.link_down.resize(baseline_.link_count());
-    config.commodity_absent.resize(baseline_.commodity_count());
+    config.node_down = read_flags(baseline_.node_count());
+    config.link_down = read_flags(baseline_.link_count());
+    config.commodity_absent = read_flags(baseline_.commodity_count());
     config.cap_factor.resize(baseline_.node_count());
     config.bw_factor.resize(baseline_.link_count());
     config.lambda_factor.resize(baseline_.commodity_count());
-    for (char& v : config.node_down) v = read_size(in) != 0 ? 1 : 0;
-    for (char& v : config.link_down) v = read_size(in) != 0 ? 1 : 0;
-    for (char& v : config.commodity_absent) v = read_size(in) != 0 ? 1 : 0;
     for (double& v : config.cap_factor) v = read_double(in);
     for (double& v : config.bw_factor) v = read_double(in);
     for (double& v : config.lambda_factor) v = read_double(in);
@@ -896,6 +958,22 @@ void Controller::import_state(std::istream& in) {
     for (double& v : admitted) v = read_double(in);
     return admitted;
   };
+  const auto read_basis = [&, this]() {
+    CarriedBasis carried;
+    const std::size_t columns = read_size(in);
+    if (columns == 0) return carried;
+    carried.layout.node_down = read_flags(baseline_.node_count());
+    carried.layout.link_down = read_flags(baseline_.link_count());
+    carried.layout.commodity_absent = read_flags(baseline_.commodity_count());
+    std::string codes;
+    ensure(static_cast<bool>(in >> codes) && codes.size() == columns,
+           "ctrl state: basis column count mismatch");
+    carried.basis.status.reserve(columns);
+    for (const char code : codes) {
+      carried.basis.status.push_back(parse_basis_code(code));
+    }
+    return carried;
+  };
 
   // Parse the whole blob into scratch state first; commit only when every
   // section validated, so a torn or corrupt blob leaves the controller
@@ -908,6 +986,7 @@ void Controller::import_state(std::istream& in) {
   std::vector<double> admitted = read_admitted();
   const double utility = read_double(in);
   const std::size_t applied = read_size(in);
+  CarriedBasis basis = read_basis();
   const std::size_t snapshot_count = read_size(in);
   std::map<std::pair<char, std::size_t>, Snapshot> snapshots;
   for (std::size_t i = 0; i < snapshot_count; ++i) {
@@ -923,10 +1002,12 @@ void Controller::import_state(std::istream& in) {
     core::RoutingState snap_routing =
         read_routing(snap_state->problem->extended());
     std::vector<double> snap_admitted = read_admitted();
+    CarriedBasis snap_basis = read_basis();
     snapshots.emplace(
         std::pair<char, std::size_t>{kind, id},
         Snapshot{std::move(snap_config), std::move(snap_routing),
-                 std::move(snap_admitted), snap_utility});
+                 std::move(snap_admitted), snap_utility,
+                 std::move(snap_basis)});
   }
   std::string trailer;
   ensure(static_cast<bool>(in >> trailer) && trailer == "end",
@@ -938,6 +1019,7 @@ void Controller::import_state(std::istream& in) {
   admitted_ = std::move(admitted);
   utility_ = utility;
   events_applied_ = applied;
+  basis_ = std::move(basis);
   snapshots_ = std::move(snapshots);
   report_.final_utility = utility_;
   metrics_.set(m_utility_, utility_);

@@ -10,6 +10,7 @@
 
 #include "core/routing.hpp"
 #include "ctrl/churn_plan.hpp"
+#include "lp/revised_simplex.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "solver/pipeline.hpp"
@@ -74,8 +75,9 @@ struct ControllerOptions {
   /// Recovered when utility >= optimum - band * max(1, |optimum|).
   double recovery_band = 0.01;
 
-  /// Remap the previous routing across the surgery maps as a warm start
-  /// (false = always cold start; bench_churn's control arm).
+  /// Remap the previous routing across the surgery maps as a warm start,
+  /// and start every LP from the carried simplex basis (false = always
+  /// cold start; bench_churn's control arm).
   bool use_warm_start = true;
 
   /// Solve the post-event LP optimum for the recovery SLOs. Disable to
@@ -100,12 +102,18 @@ struct EventOutcome {
   bool exact_restore = false;  // snapshot restored, re-solve skipped
   bool watchdog_retry = false; // first attempt tripped the watchdog
   bool degraded_infeasible = false;  // freeze policy carried an infeasible point
+  /// The event's LP work (an LP-pipeline re-solve, else the reference
+  /// solve) started from a basis carried in from an earlier event or a
+  /// snapshot. False when it started cold — a layout change (crash, depart,
+  /// or a restore/arrival that is not exact) — or the event ran no LP.
+  bool lp_warm_basis = false;
 
   std::size_t iterations = 0;           // re-solve iterations actually spent
   std::size_t recovery_iterations = 0;  // to within the band; kNotRecovered
   double utility_before = 0.0;  // interim (degraded) utility after surgery
   double utility_after = 0.0;   // utility after the re-solve
   double optimum = 0.0;         // post-event LP optimum (lp_reference)
+  std::size_t reference_pivots = 0;  // simplex pivots of that optimum's solve
   double utility_deficit = 0.0; // sum over iterations of max(0, opt - u)
   double warm_start_violation = 0.0;  // capacity violation of the warm point
   double wall_seconds = 0.0;
@@ -173,6 +181,14 @@ struct ChurnReport {
 /// snapshot (recovery in 0 iterations — the strongest form of the paper's
 /// "faster recovery" remark).
 ///
+/// The controller carries one simplex basis across events: the final basis
+/// of its last optimal LP solve, keyed by the LP's layout (which nodes,
+/// links and commodities exist). Every LP it solves on the same layout —
+/// an `lp`/`lp-sparse` re-solve, the recovery-SLO reference solve —
+/// starts from that basis, so capacity, bandwidth and rate events cost a
+/// few pivots instead of a cold solve. Snapshots keep the basis with the
+/// routing, so an exact restore's optimum is 0 pivots.
+///
 /// Deterministic by construction: no wall-clock input affects decisions,
 /// and with a deterministic backend (gradient, or distributed under the
 /// deterministic runtime) a run is bit-identical across thread counts.
@@ -229,7 +245,8 @@ class Controller {
 
   /// Serializes the controller's full decision-bearing state — the topology
   /// configuration, the standing routing, admitted rates, utility, the
-  /// exact-restore snapshot table, and the applied-event count — as a
+  /// carried simplex basis, the exact-restore snapshot table (each with its
+  /// basis), and the applied-event count — as a
   /// line-oriented text blob. Doubles are rendered as C hexfloats, so a
   /// round trip through import_state is bit-exact and a restored controller
   /// continues a deterministic run with the same decisions the original
@@ -255,16 +272,31 @@ class Controller {
   obs::Tracer& tracer() { return tracer_; }
 
  private:
-  /// Baseline-indexed topology configuration; the current network is always
-  /// rebuild(baseline, spec_of(config)).
-  struct Config {
+  /// The structural part of a Config: which entities exist. Configs with
+  /// the same layout build LPs of the same shape (the factors move only
+  /// right-hand sides, bounds and PWL breakpoints), so a simplex basis
+  /// carries between them.
+  struct Layout {
     std::vector<char> node_down;
     std::vector<char> link_down;
     std::vector<char> commodity_absent;
+    bool operator==(const Layout&) const = default;
+  };
+
+  /// Baseline-indexed topology configuration; the current network is always
+  /// rebuild(baseline, spec_of(config)).
+  struct Config : Layout {
     std::vector<double> cap_factor;
     std::vector<double> bw_factor;
     std::vector<double> lambda_factor;
     bool operator==(const Config&) const = default;
+  };
+
+  /// A simplex basis and the layout of the LP it came from (an empty basis
+  /// means none).
+  struct CarriedBasis {
+    Layout layout;
+    lp::SimplexBasis basis;
   };
 
   /// The rebuilt network, its baseline->current maps, and the Problem over
@@ -276,6 +308,7 @@ class Controller {
     core::RoutingState routing;
     std::vector<double> admitted;
     double utility = 0.0;
+    CarriedBasis basis;
   };
 
   std::unique_ptr<State> build_state(const Config& config) const;
@@ -290,13 +323,24 @@ class Controller {
   NodeId resolve_node(const std::string& text, const char* what) const;
   stream::CommodityId resolve_commodity(const std::string& text,
                                         const char* what) const;
+  /// The carried basis when it belongs to `config`'s layout; nullptr (a
+  /// cold LP) otherwise.
+  const lp::SimplexBasis* carried_basis(const Config& config) const;
+  /// Runs the pipeline under the watchdog. `warm_basis` (may be null) seeds
+  /// the first attempt's LP stages; a retry starts them cold.
   solver::SolveResult watchdogged_solve(const solver::Problem& problem,
                                         std::optional<core::RoutingState> warm,
+                                        const lp::SimplexBasis* warm_basis,
                                         EventOutcome& outcome);
+  /// The current network's LP optimum for the recovery SLOs, solved from
+  /// the carried basis when it fits; an optimal solve's basis is adopted.
+  double reference_optimum(EventOutcome& outcome);
   void register_metrics();
 
   ControllerOptions options_;
   solver::Pipeline pipeline_;
+  /// Some pipeline stage solves an LP (SolverInfo::supports_warm_basis).
+  bool lp_pipeline_ = false;
   stream::StreamNetwork baseline_;
   Config config_;
   std::unique_ptr<State> state_;
@@ -307,6 +351,8 @@ class Controller {
   /// {'c', commodity}. A restore/arrive whose configuration returns exactly
   /// to the snapshot is served from it with no re-solve.
   std::map<std::pair<char, std::size_t>, Snapshot> snapshots_;
+  /// The final basis of the last optimal LP solve (see the class comment).
+  CarriedBasis basis_;
   ChurnReport report_;
   std::size_t events_applied_ = 0;
 
@@ -316,8 +362,8 @@ class Controller {
   obs::MetricId m_events_, m_crashes_, m_restores_, m_cap_scales_,
       m_bw_scales_, m_arrivals_, m_departures_, m_warm_starts_,
       m_cold_starts_, m_exact_restores_, m_retries_, m_failures_,
-      m_budget_exhausted_, m_recovered_, m_utility_, m_commodities_,
-      m_recovery_hist_, m_deficit_hist_;
+      m_budget_exhausted_, m_lp_warm_basis_, m_recovered_, m_utility_,
+      m_commodities_, m_recovery_hist_, m_deficit_hist_;
 };
 
 }  // namespace maxutil::ctrl

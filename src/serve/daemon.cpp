@@ -104,6 +104,8 @@ std::string ServeReport::summary() const {
       << " applied=" << applied << " rejected=" << rejected
       << " query=" << queries << " overload_denied=" << overload_denied
       << "\n"
+      << "  budget exhausted " << budget_exhausted
+      << " (usable solves stopped at the iteration budget)\n"
       << "  utility " << fmt(initial_utility) << " -> " << fmt(final_utility)
       << "\n"
       << "  virtual latency p50=" << fmt(virtual_p50)
@@ -127,6 +129,7 @@ void ServeReport::write_json(std::ostream& out) const {
       << "  \"queries\": " << queries << ",\n"
       << "  \"forced_flushes\": " << forced_flushes << ",\n"
       << "  \"overload_denied\": " << overload_denied << ",\n"
+      << "  \"budget_exhausted\": " << budget_exhausted << ",\n"
       << "  \"virtual_latency_p50\": " << fmt(virtual_p50) << ",\n"
       << "  \"virtual_latency_p99\": " << fmt(virtual_p99) << ",\n"
       << "  \"wall_latency_p50_seconds\": " << fmt(wall_p50) << ",\n"
@@ -173,6 +176,9 @@ void Daemon::register_metrics() {
                 "batches flushed by a timer or end-of-stream, not an arrival");
   m_overload_ = m.counter("serve_overload_denied_total",
                           "requests denied by the max_pending overload bound");
+  m_budget_exhausted_ =
+      m.counter("serve_budget_exhausted_total",
+                "apply_batch solves stopped at their iteration budget");
   m_batch_size_ = m.histogram("serve_batch_size", {1, 2, 4, 8, 16, 32, 64},
                               "requests coalesced per batch");
   m_virtual_latency_ =
@@ -327,6 +333,18 @@ void Daemon::advance_to(std::size_t time) {
   }
 }
 
+ctrl::BatchOutcome Daemon::solve_batch(
+    const std::vector<ctrl::ChurnEvent>& events) {
+  ctrl::BatchOutcome outcome = controller_->apply_batch(events);
+  ++report_.solves;
+  controller_->metrics().add(m_solves_);
+  if (outcome.status == solver::Status::kIterationLimit) {
+    ++report_.budget_exhausted;
+    controller_->metrics().add(m_budget_exhausted_);
+  }
+  return outcome;
+}
+
 void Daemon::decide_batch(bool forced) {
   if (pending_.empty()) {
     batch_open_ = false;
@@ -348,9 +366,7 @@ void Daemon::decide_batch(bool forced) {
   outcome.status = solver::Status::kConverged;  // empty batch: nothing moved
   double wall = 0.0;
   if (!staged.empty()) {
-    outcome = controller_->apply_batch(staged);
-    ++report_.solves;
-    controller_->metrics().add(m_solves_);
+    outcome = solve_batch(staged);
     wall += outcome.wall_seconds;
   }
 
@@ -385,10 +401,7 @@ void Daemon::decide_batch(bool forced) {
   }
 
   if (!reverts.empty()) {
-    const ctrl::BatchOutcome undo = controller_->apply_batch(reverts);
-    ++report_.solves;
-    controller_->metrics().add(m_solves_);
-    wall += undo.wall_seconds;
+    wall += solve_batch(reverts).wall_seconds;
   }
 
   // Queries read the settled plan (denials already reverted out).
@@ -509,12 +522,12 @@ const ServeReport& Daemon::run(const Script& script) {
 void Daemon::export_snapshot(std::ostream& out) const {
   ensure(!batch_open_ && pending_.empty(),
          "serve snapshot: export requires a settled daemon (no open batch)");
-  out << "maxutil-serve-daemon 1\n";
+  out << "maxutil-serve-daemon 2\n";
   out << report_.batches << " " << report_.solves << " " << last_time_ << "\n";
   out << report_.admits << " " << report_.degrades << " " << report_.denies
       << " " << report_.applied << " " << report_.rejected << " "
       << report_.queries << " " << report_.forced_flushes << " "
-      << report_.overload_denied << "\n";
+      << report_.overload_denied << " " << report_.budget_exhausted << "\n";
   out << hex_double(report_.initial_utility) << "\n";
   controller_->export_state(out);
   out << "end-serve\n";
@@ -527,7 +540,7 @@ void Daemon::import_snapshot(std::istream& in) {
   std::string magic;
   std::size_t version = 0;
   in >> magic >> version;
-  ensure(magic == "maxutil-serve-daemon" && version == 1,
+  ensure(magic == "maxutil-serve-daemon" && version == 2,
          "serve snapshot: bad header '" + magic + "'");
   const std::size_t batches = snap_read_size(in);
   const std::size_t solves = snap_read_size(in);
@@ -540,6 +553,7 @@ void Daemon::import_snapshot(std::istream& in) {
   const std::size_t queries = snap_read_size(in);
   const std::size_t forced = snap_read_size(in);
   const std::size_t overloaded = snap_read_size(in);
+  const std::size_t budget_exhausted = snap_read_size(in);
   const double initial_utility = snap_read_double(in);
   controller_->import_state(in);
   std::string trailer;
@@ -556,6 +570,7 @@ void Daemon::import_snapshot(std::istream& in) {
   report_.queries = queries;
   report_.forced_flushes = forced;
   report_.overload_denied = overloaded;
+  report_.budget_exhausted = budget_exhausted;
   report_.initial_utility = initial_utility;
   report_.final_utility = controller_->utility();
   last_time_ = last_time;

@@ -87,6 +87,9 @@ struct ServeReport {
   std::size_t forced_flushes = 0;
   /// Requests denied immediately by the max_pending overload bound.
   std::size_t overload_denied = 0;
+  /// apply_batch solves whose final status is Status::kIterationLimit: the
+  /// plan they left is usable but stopped at the watchdog budget.
+  std::size_t budget_exhausted = 0;
   double initial_utility = 0.0;
   double final_utility = 0.0;
   double solve_wall_seconds = 0.0;  // total wall spent inside re-solves
@@ -194,6 +197,8 @@ class Daemon {
 
   void open_batch(std::size_t time);
   void decide_batch(bool forced);
+  /// Controller::apply_batch plus the report's solve accounting.
+  ctrl::BatchOutcome solve_batch(const std::vector<ctrl::ChurnEvent>& events);
   DecisionRecord decide_admit(const Pending& pending,
                               const ctrl::BatchOutcome& outcome,
                               std::vector<ctrl::ChurnEvent>& reverts);
@@ -225,6 +230,7 @@ class Daemon {
   obs::MetricId m_solves_ = 0;
   obs::MetricId m_forced_flush_ = 0;
   obs::MetricId m_overload_ = 0;
+  obs::MetricId m_budget_exhausted_ = 0;
   obs::MetricId m_batch_size_ = 0;
   obs::MetricId m_virtual_latency_ = 0;
   obs::MetricId m_wall_latency_us_ = 0;

@@ -5,7 +5,9 @@
 // same solve (the second name is kept for existing pipeline specs). It
 // emits a routing recovered from the optimal vertex
 // (core::routing_from_flows) so pipelines can warm-start iterative stages
-// from the LP optimum.
+// from the LP optimum, and its final simplex basis, which
+// SolveOptions::warm_basis feeds back into the next solve of the same
+// layout.
 
 #include <algorithm>
 #include <string>
@@ -35,7 +37,9 @@ SolveResult solve_lp(const Problem& problem, const SolveOptions& options) {
   ro.pwl_segments = static_cast<std::size_t>(
       options.extra_number("pwl_segments", static_cast<double>(ro.pwl_segments)));
 
-  const auto reference = xform::solve_reference(problem.extended(), ro);
+  lp::SimplexBasis basis = options.warm_basis.value_or(lp::SimplexBasis{});
+  const auto reference =
+      xform::solve_reference(problem.extended(), ro, &basis);
   SolveResult result;
   result.status = map_status(reference.status);
   result.iterations = reference.iterations;
@@ -47,6 +51,7 @@ SolveResult solve_lp(const Problem& problem, const SolveOptions& options) {
   result.admitted = reference.admitted;
   result.utility = reference.optimal_utility;
   result.node_usage = reference.node_usage;
+  result.basis = std::move(basis);
   // The optimal vertex saturates capacities; routing_from_flows repairs it
   // to a strictly guard-feasible warm start (finite barrier cost).
   result.routing = core::routing_from_flows(
@@ -69,6 +74,7 @@ void register_lp_solver(SolverRegistry& registry) {
       "centralized LP reference: sparse revised simplex on the transformed "
       "problem (PWL-encoded concave utilities)";
   info.emits_routing = true;
+  info.supports_warm_basis = true;
   info.solve = solve_lp;
   registry.add(std::move(info));
 }
@@ -78,6 +84,8 @@ void register_lp_sparse_solver(SolverRegistry& registry) {
   info.name = "lp-sparse";
   info.description = "the same solve as 'lp' (alias kept for existing specs)";
   info.emits_routing = true;
+  info.supports_warm_basis = true;
+  info.alias_of = "lp";
   info.solve = solve_lp;
   registry.add(std::move(info));
 }

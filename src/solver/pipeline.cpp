@@ -58,6 +58,7 @@ SolveResult Pipeline::run(const Problem& problem,
   std::vector<StageSummary> summaries;
   std::vector<std::string> warnings;
   std::optional<core::RoutingState> carry;
+  std::optional<lp::SimplexBasis> emitted_basis;
   for (const std::string& stage : stages_) {
     const SolverInfo* info = registry_->find(stage);
     ensure(info != nullptr, "pipeline stage '" + stage + "' vanished from "
@@ -66,6 +67,7 @@ SolveResult Pipeline::run(const Problem& problem,
     if (carry.has_value() && info->supports_warm_start) {
       stage_options.warm_start = carry;
     }
+    if (emitted_basis.has_value()) stage_options.warm_basis = emitted_basis;
     try {
       result = registry_->solve(stage, problem, stage_options);
     } catch (const maxutil::util::CheckError& e) {
@@ -84,7 +86,9 @@ SolveResult Pipeline::run(const Problem& problem,
     }
     if (!is_usable(result.status)) break;
     if (result.routing.has_value()) carry = result.routing;
+    if (result.basis.has_value()) emitted_basis = result.basis;
   }
+  if (!result.basis.has_value()) result.basis = std::move(emitted_basis);
   result.stages = std::move(summaries);
   if (stages_.size() > 1) result.warnings = std::move(warnings);
   return result;

@@ -40,7 +40,9 @@ class Pipeline {
   /// Runs the stages in order. The returned result is the last completed
   /// stage's, with `stages` filled with every stage's summary and
   /// `warnings` accumulated across stages; a stage with a non-usable status
-  /// stops the chain (its result is returned).
+  /// stops the chain (its result is returned). SolveOptions::warm_basis
+  /// seeds the first LP stage, each LP stage's final basis seeds the next,
+  /// and the last LP stage's basis is carried onto the result's `basis`.
   SolveResult run(const Problem& problem,
                   const SolveOptions& options = {}) const;
 

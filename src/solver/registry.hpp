@@ -34,6 +34,14 @@ struct SolverInfo {
   /// Fills SolveResult::routing (can seed a downstream pipeline stage).
   bool emits_routing = false;
 
+  /// Honors SolveOptions::warm_basis and fills SolveResult::basis (the
+  /// simplex backends).
+  bool supports_warm_basis = false;
+
+  /// Name of the backend whose solve this entry shares, or empty for a
+  /// distinct backend. `--compare` runs each distinct solve once.
+  std::string alias_of;
+
   SolverFn solve;
 };
 

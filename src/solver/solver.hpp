@@ -11,6 +11,7 @@
 #include "core/allocation.hpp"
 #include "core/optimality.hpp"
 #include "core/routing.hpp"
+#include "lp/revised_simplex.hpp"
 #include "stream/model.hpp"
 #include "util/timeseries.hpp"
 #include "xform/extended_graph.hpp"
@@ -80,6 +81,13 @@ struct SolveOptions {
   /// with supports_warm_start). Must be valid on the Problem's extended
   /// graph. Pipelines thread the previous stage's routing through here.
   std::optional<core::RoutingState> warm_start;
+
+  /// Start the simplex from this basis instead of the cold slack basis
+  /// (the lp/lp-sparse backends; others ignore it). A basis from an LP of
+  /// the same layout makes the re-solve a few pivots; one that does not fit
+  /// falls back to the cold start. Pipelines thread the previous LP stage's
+  /// SolveResult::basis through here.
+  std::optional<lp::SimplexBasis> warm_basis;
 
   /// Per-solver passthrough (e.g. {"faults", "drop=0.1"} for distributed,
   /// {"buffer_cap", "8"} for backpressure, {"pwl_segments", "200"} for lp).
@@ -171,6 +179,11 @@ struct SolveResult {
   /// Final routing decision, for warm-start chaining and inspection
   /// (backends with emits_routing).
   std::optional<core::RoutingState> routing;
+
+  /// Final simplex basis of an optimal LP solve (lp/lp-sparse), for warm-
+  /// start chaining through SolveOptions::warm_basis. A Pipeline carries its
+  /// last LP stage's basis here even when later stages are not LPs.
+  std::optional<lp::SimplexBasis> basis;
 
   /// Physical-network view of the solution (admission, per-server /
   /// per-link usage, per-commodity link flows).

@@ -100,7 +100,8 @@ FlowPolytope build_flow_polytope(const ExtendedGraph& xg,
 }
 
 ReferenceSolution solve_reference(const ExtendedGraph& xg,
-                                  const ReferenceOptions& options) {
+                                  const ReferenceOptions& options,
+                                  lp::SimplexBasis* basis) {
   const auto& g = xg.graph();
   const std::size_t ncommodities = xg.commodity_count();
 
@@ -126,7 +127,7 @@ ReferenceSolution solve_reference(const ExtendedGraph& xg,
     }
   }
 
-  const auto lp_solution = maxutil::lp::solve_revised(problem);
+  const auto lp_solution = maxutil::lp::solve_revised(problem, {}, basis);
 
   ReferenceSolution out;
   out.status = lp_solution.status;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "lp/model.hpp"
+#include "lp/revised_simplex.hpp"
 #include "xform/extended_graph.hpp"
 
 namespace maxutil::xform {
@@ -86,8 +87,16 @@ FlowPolytope build_flow_polytope(const ExtendedGraph& xg,
 /// This solves the *original* constrained problem (no penalty barrier), so
 /// its value upper-bounds what the penalty-regularized distributed
 /// algorithms converge to; the gap is controlled by epsilon (bench E3).
+///
+/// `basis`, when non-null, is an in/out simplex basis (lp::solve_revised's
+/// warm start): a non-empty one seeds the solve, and an optimal solve writes
+/// its final basis back. An LP with the same layout (same graph structure,
+/// only capacities, bandwidths or rates changed) re-solves from a previous
+/// optimum's basis in a handful of pivots; a basis that does not fit falls
+/// back to the cold slack start.
 ReferenceSolution solve_reference(const ExtendedGraph& xg,
-                                  const ReferenceOptions& options = {});
+                                  const ReferenceOptions& options = {},
+                                  lp::SimplexBasis* basis = nullptr);
 
 /// Independent cross-check for concave utilities: maximizes sum U_j(a_j)
 /// over the same polytope with the Frank-Wolfe method (exact line search,

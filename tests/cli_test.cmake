@@ -114,4 +114,27 @@ if(NOT backend_err MATCHES "unknown flag --lp-backend")
           "solve --lp-backend dense did not name the flag: ${backend_err}")
 endif()
 
+# `lp-sparse` is an alias of `lp` (one solve under two names): --compare
+# solves the LP once and labels the alias row instead of solving it again.
+set(compare_json ${WORK}/cli_test_compare.json)
+run_cli(compare_out solve ${scenario_file} --compare --iters 200
+        --compare-json ${compare_json})
+if(NOT compare_out MATCHES "lp-sparse +alias of lp")
+  message(FATAL_ERROR "--compare did not label lp-sparse as an alias of lp: "
+                      "${compare_out}")
+endif()
+string(REGEX MATCHALL "\n *lp +converged" lp_rows "${compare_out}")
+list(LENGTH lp_rows lp_row_count)
+if(NOT lp_row_count EQUAL 1)
+  message(FATAL_ERROR "--compare printed ${lp_row_count} solved lp rows, "
+                      "expected 1: ${compare_out}")
+endif()
+file(READ ${compare_json} compare_text)
+if(NOT compare_text MATCHES "\"name\": \"lp\", \"status\"")
+  message(FATAL_ERROR "--compare-json lacks the lp entry: ${compare_text}")
+endif()
+if(compare_text MATCHES "lp-sparse")
+  message(FATAL_ERROR "--compare-json solved lp-sparse again: ${compare_text}")
+endif()
+
 message(STATUS "cli_test: all checks passed (lp=${lp_value}, gradient=${grad_value})")

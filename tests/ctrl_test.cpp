@@ -5,11 +5,16 @@
 #include <sstream>
 #include <string>
 
+#include "core/allocation.hpp"
+#include "core/flow.hpp"
 #include "ctrl/churn_plan.hpp"
 #include "ctrl/controller.hpp"
 #include "gen/figure1.hpp"
+#include "gen/random_instance.hpp"
 #include "solver/registry.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
+#include "xform/lp_reference.hpp"
 
 namespace {
 
@@ -482,6 +487,186 @@ TEST(Controller, ExportImportStateIsBitExact) {
   std::istringstream torn(blob.str().substr(0, blob.str().size() / 2));
   EXPECT_THROW(fresh.import_state(torn), CheckError);
   EXPECT_EQ(fresh.utility(), before);
+}
+
+// --- Controller: the carried simplex basis (lp pipeline) ---
+
+/// A generated instance under the `lp` pipeline, with bench_churn's plan
+/// shape aimed at a loaded server, a loaded link and the last commodity:
+/// cap down/up, crash/restore, bw down/up, depart/arrive.
+struct LpChurnCase {
+  maxutil::stream::StreamNetwork net;
+  ChurnPlan plan;
+};
+
+ControllerOptions lp_options() {
+  ControllerOptions options;
+  options.pipeline = "lp";
+  options.lp_reference = true;
+  return options;
+}
+
+LpChurnCase lp_churn_case() {
+  maxutil::gen::RandomInstanceParams params;
+  params.servers = 60;
+  params.commodities = 6;
+  params.stages = 3;
+  maxutil::util::Rng rng(2007);
+  LpChurnCase c{maxutil::gen::random_instance(params, rng), {}};
+  const maxutil::stream::StreamNetwork& net = c.net;
+
+  const Controller probe(net, lp_options());
+  const auto alloc = maxutil::core::map_to_physical(
+      probe.extended(),
+      maxutil::core::compute_flows(probe.extended(), probe.routing()));
+  maxutil::stream::NodeId victim = 0;
+  double victim_usage = 0.0;
+  for (maxutil::stream::NodeId n = 0; n < net.node_count(); ++n) {
+    bool source = false;
+    for (std::size_t j = 0; j < net.commodity_count(); ++j) {
+      source = source || net.source(j) == n;
+    }
+    if (!net.is_sink(n) && !source && alloc.server_usage[n] > victim_usage) {
+      victim = n;
+      victim_usage = alloc.server_usage[n];
+    }
+  }
+  maxutil::stream::LinkId link = 0;
+  for (maxutil::stream::LinkId l = 0; l < net.link_count(); ++l) {
+    if (alloc.link_usage[l] > alloc.link_usage[link]) link = l;
+  }
+  const auto& g = net.graph();
+  const std::string v = net.node_name(victim);
+  const std::string bw =
+      net.node_name(g.tail(link)) + "-" + net.node_name(g.head(link));
+  const std::string j = net.commodity_name(net.commodity_count() - 1);
+  c.plan = parse_churn_plan("cap=" + v + "*0.5@1,cap=" + v + "*1.2@2,crash=" +
+                            v + "@3,restore=" + v + "@4,bw=" + bw +
+                            "*0.5@5,bw=" + bw + "*1.6@6,depart=" + j +
+                            "@7,arrive=" + j + "@8");
+  return c;
+}
+
+bool within_relative(double a, double b, double rel) {
+  return std::abs(a - b) <= rel * std::max(1.0, std::abs(b));
+}
+
+TEST(Controller, LpCarriedBasisWarmsRhsEventsAndMatchesColdOptimum) {
+  const LpChurnCase c = lp_churn_case();
+  ControllerOptions cold_options = lp_options();
+  cold_options.use_warm_start = false;  // every LP from the slack basis
+  Controller warm(c.net, lp_options());
+  Controller cold(c.net, cold_options);
+  ASSERT_EQ(c.plan.events.size(), 8u);
+  for (const ChurnEvent& event : c.plan.events) {
+    const EventOutcome w = warm.apply(event);
+    const EventOutcome k = cold.apply(event);
+    SCOPED_TRACE(event.describe());
+    ASSERT_EQ(w.status, maxutil::solver::Status::kConverged);
+    ASSERT_EQ(k.status, maxutil::solver::Status::kConverged);
+    EXPECT_FALSE(k.lp_warm_basis);
+
+    // Same optimum and utility as an independent cold reference solve.
+    const double optimum =
+        maxutil::xform::solve_reference(warm.extended()).optimal_utility;
+    EXPECT_TRUE(within_relative(w.optimum, optimum, 1e-9))
+        << w.optimum << " vs " << optimum;
+    EXPECT_TRUE(within_relative(warm.utility(), optimum, 1e-9))
+        << warm.utility() << " vs " << optimum;
+
+    switch (event.kind) {
+      case ChurnEventKind::kCapScale:
+      case ChurnEventKind::kBwScale:
+        // RHS-only: the re-solve warm-starts from the carried basis, and
+        // the reference solve then starts at the re-solve's optimal basis,
+        // so it pivots nowhere and reproduces the re-solve bit for bit.
+        EXPECT_TRUE(w.lp_warm_basis);
+        EXPECT_LT(w.iterations, k.iterations);
+        EXPECT_EQ(w.reference_pivots, 0u);
+        EXPECT_EQ(w.optimum, w.utility_after);
+        break;
+      case ChurnEventKind::kCrash:
+      case ChurnEventKind::kDepart:
+        // The layout changed: both controllers solve the same LP cold.
+        EXPECT_FALSE(w.lp_warm_basis);
+        EXPECT_EQ(w.iterations, k.iterations);
+        EXPECT_EQ(w.utility_after, k.utility_after);
+        EXPECT_EQ(w.reference_pivots, 0u);  // warm from the cold re-solve
+        break;
+      case ChurnEventKind::kRestore:
+      case ChurnEventKind::kArrive:
+        // Exact restore: the snapshot's basis comes back with its routing,
+        // so the optimum costs no pivots; the cold arm pays a full solve.
+        EXPECT_TRUE(w.exact_restore);
+        EXPECT_TRUE(w.lp_warm_basis);
+        EXPECT_EQ(w.reference_pivots, 0u);
+        EXPECT_GT(k.reference_pivots, 0u);
+        break;
+    }
+  }
+  const auto counted = warm.metrics().find("ctrl_lp_warm_basis_total");
+  ASSERT_TRUE(counted.has_value());
+  // cap x2 and bw x2: re-solve + reference each; crash and depart: the
+  // reference only; the two exact restores: the reference.
+  EXPECT_EQ(warm.metrics().counter_value(*counted), 12u);
+  const auto cold_counted = cold.metrics().find("ctrl_lp_warm_basis_total");
+  ASSERT_TRUE(cold_counted.has_value());
+  EXPECT_EQ(cold.metrics().counter_value(*cold_counted), 0u);
+}
+
+TEST(Controller, LpExportImportRoundTripsTheBases) {
+  const LpChurnCase c = lp_churn_case();
+  // Stop after the crash: the carried basis and the crash snapshot's basis
+  // are both pending.
+  const ChurnPlan head{{c.plan.events.begin(), c.plan.events.begin() + 3}};
+  const ChurnPlan tail{{c.plan.events.begin() + 3, c.plan.events.end()}};
+  Controller original(c.net, lp_options());
+  original.run(head);
+  std::ostringstream blob;
+  original.export_state(blob);
+  EXPECT_EQ(blob.str().rfind("maxutil-ctrl-state 2\n", 0), 0u);
+
+  Controller restored(c.net, lp_options());
+  std::istringstream in(blob.str());
+  restored.import_state(in);
+  std::ostringstream again;
+  restored.export_state(again);
+  EXPECT_EQ(again.str(), blob.str());  // every basis came across bit-exactly
+
+  // A warm solve's vertex depends on its basis: the restored controller
+  // continues with the same pivots and bit-identical plans only because the
+  // bases came across.
+  for (const ChurnEvent& event : tail.events) {
+    const EventOutcome a = original.apply(event);
+    const EventOutcome b = restored.apply(event);
+    EXPECT_EQ(a.iterations, b.iterations) << event.describe();
+    EXPECT_EQ(a.reference_pivots, b.reference_pivots) << event.describe();
+    EXPECT_EQ(a.lp_warm_basis, b.lp_warm_basis) << event.describe();
+    EXPECT_EQ(a.utility_after, b.utility_after) << event.describe();
+  }
+  EXPECT_EQ(restored.routing().max_difference(original.routing()), 0.0);
+}
+
+TEST(Controller, VersionOneStateBlobIsRefused) {
+  const auto net = maxutil::gen::figure1_example();
+  Controller original(net, fast_options());
+  std::ostringstream blob;
+  original.export_state(blob);
+  std::string v1 = blob.str();
+  const std::string header = "maxutil-ctrl-state 2";
+  ASSERT_EQ(v1.rfind(header, 0), 0u);
+  v1.replace(0, header.size(), "maxutil-ctrl-state 1");
+
+  Controller target(net, fast_options());
+  std::istringstream in(v1);
+  try {
+    target.import_state(in);
+    FAIL() << "a version-1 blob was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("ctrl state: unsupported version"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Controller, DistributedChurnRunsAreThreadIndependent) {

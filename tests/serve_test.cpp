@@ -375,6 +375,46 @@ TEST(ServeDaemon, TrailingBatchForceFlushesAndIsCounted) {
   EXPECT_EQ(counter(daemon, "serve_batch_forced_flush"), 1u);
 }
 
+TEST(ServeDaemon, BudgetExhaustedSolvesAreCounted) {
+  // A 5-iteration watchdog stops every re-solve at its budget. The plan is
+  // usable, so the topology changes apply with no failure reason; the
+  // report, its summary and JSON, and the counter all count the stalls.
+  const auto net = maxutil::gen::figure1_example();
+  ServeOptions options = fast_options();
+  options.controller.watchdog_iterations = 5;
+  options.window = 2;
+  Daemon daemon(net, options);
+  const ServeReport& report = daemon.run(parse_script_text(
+      "cap=Server 3*0.5@0\n"
+      "query=S1@1\n"
+      "cap=Server 3*2@3\n"
+      "query=S1@4\n"));
+  EXPECT_EQ(report.solves, 2u);
+  EXPECT_EQ(report.budget_exhausted, 2u);
+  EXPECT_EQ(counter(daemon, "serve_budget_exhausted_total"), 2u);
+  for (const auto& record : report.decisions) {
+    EXPECT_TRUE(record.reason.empty()) << record.line();
+  }
+  EXPECT_NE(report.summary().find("budget exhausted 2"), std::string::npos);
+  std::ostringstream json;
+  report.write_json(json);
+  EXPECT_NE(json.str().find("\"budget_exhausted\": 2,"), std::string::npos);
+
+  // The count survives a snapshot, like the other report counters.
+  std::ostringstream blob;
+  daemon.export_snapshot(blob);
+  Daemon restored(net, options);
+  std::istringstream in(blob.str());
+  restored.import_snapshot(in);
+  EXPECT_EQ(restored.report().budget_exhausted, 2u);
+
+  // With the default budget the same stream converges: nothing is counted.
+  Daemon roomy(net, fast_options());
+  EXPECT_EQ(roomy.run(parse_script_text("cap=Server 3*0.5@0\n"))
+                .budget_exhausted,
+            0u);
+}
+
 TEST(ServeDaemon, OverloadDeniesBeyondMaxPending) {
   const auto net = maxutil::gen::figure1_example();
   ServeOptions options = fast_options();
@@ -493,6 +533,25 @@ std::string run_with_crash(std::size_t crash_after,
 
 TEST(ServeRecovery, KillAtEveryWalRecordIsBitIdentical) {
   const ServeOptions options = recovery_options("gradient", 1);
+  double reference_utility = 0.0;
+  const std::string reference =
+      run_uninterrupted(options, &reference_utility);
+  const std::size_t requests =
+      parse_script_text(kRecoveryStream).requests.size();
+  for (std::size_t k = 0; k <= requests; ++k) {
+    double utility = 0.0;
+    const std::string log = run_with_crash(k, options, 2, &utility);
+    EXPECT_EQ(log, reference) << "crash after record " << k;
+    EXPECT_EQ(utility, reference_utility) << "crash after record " << k;
+  }
+}
+
+TEST(ServeRecovery, LpKillAtEveryWalRecordIsBitIdentical) {
+  // Under the lp pipeline each re-solve warm-starts from the controller's
+  // carried simplex basis, so a warm solve's vertex depends on the basis
+  // history. Snapshots carry the basis; recovery from any point reproduces
+  // the uninterrupted log.
+  const ServeOptions options = recovery_options("lp", 1);
   double reference_utility = 0.0;
   const std::string reference =
       run_uninterrupted(options, &reference_utility);

@@ -60,6 +60,13 @@ TEST(SolverRegistry, CapabilityFlagsMatchTheBackends) {
   EXPECT_FALSE(registry.find("fw")->emits_routing);
   EXPECT_TRUE(registry.find("lp-sparse")->emits_routing);
   EXPECT_FALSE(registry.find("lp-sparse")->supports_warm_start);
+  EXPECT_TRUE(registry.find("lp")->supports_warm_basis);
+  EXPECT_TRUE(registry.find("lp-sparse")->supports_warm_basis);
+  EXPECT_FALSE(registry.find("gradient")->supports_warm_basis);
+  EXPECT_FALSE(registry.find("fw")->supports_warm_basis);
+  // One solve under two names: --compare runs it once.
+  EXPECT_EQ(registry.find("lp-sparse")->alias_of, "lp");
+  EXPECT_TRUE(registry.find("lp")->alias_of.empty());
 }
 
 TEST(SolverRegistry, UnknownSolverThrowsWithLiveNames) {
@@ -307,6 +314,48 @@ TEST(Pipeline, LpWarmStartConvergesInFewerIterationsThanColdStart) {
   EXPECT_EQ(warm.stages[1].solver, "gradient");
   EXPECT_LT(warm.iterations, cold.iterations);
   EXPECT_GE(warm.utility, 0.99 * cold.utility);
+}
+
+TEST(Pipeline, LpBasisIsEmittedCarriedAndConsumed) {
+  const auto net = figure1();
+  const solver::Problem problem(net);
+  solver::SolveOptions options;
+  options.eta = 0.1;
+  options.tolerance = 1e-4;
+  const auto& registry = solver::SolverRegistry::instance();
+
+  // The lp adapter emits its final basis; a non-LP backend emits none.
+  const auto cold = registry.solve("lp", problem, options);
+  ASSERT_EQ(cold.status, solver::Status::kConverged);
+  ASSERT_TRUE(cold.basis.has_value());
+  EXPECT_GT(cold.iterations, 0u);
+  EXPECT_FALSE(registry.solve("gradient", problem, options).basis.has_value());
+
+  // Fed back in, the basis is already optimal: no pivots, and the result is
+  // bit-equal to the cold solve (the terminal refactorization depends on
+  // the basis set alone).
+  solver::SolveOptions warm_options = options;
+  warm_options.warm_basis = cold.basis;
+  const auto warm = registry.solve("lp-sparse", problem, warm_options);
+  ASSERT_EQ(warm.status, solver::Status::kConverged);
+  EXPECT_EQ(warm.iterations, 0u);
+  EXPECT_EQ(warm.utility, cold.utility);
+  EXPECT_EQ(warm.admitted, cold.admitted);
+  ASSERT_TRUE(warm.basis.has_value());
+  EXPECT_EQ(warm.basis->status, cold.basis->status);
+
+  // A pipeline carries the LP stage's basis past a non-LP last stage.
+  const auto chain = solver::Pipeline::parse("lp,gradient").run(problem, options);
+  ASSERT_TRUE(solver::is_usable(chain.status));
+  ASSERT_TRUE(chain.basis.has_value());
+  EXPECT_EQ(chain.basis->status, cold.basis->status);
+
+  // A basis that does not fit the LP falls back to the cold start.
+  solver::SolveOptions stale = options;
+  stale.warm_basis = lp::SimplexBasis{{lp::BasisStatus::kBasic}};
+  const auto fallback = registry.solve("lp", problem, stale);
+  EXPECT_EQ(fallback.iterations, cold.iterations);
+  EXPECT_EQ(fallback.utility, cold.utility);
 }
 
 TEST(Pipeline, GradientSeedsTheDistributedRuntime) {

@@ -30,7 +30,8 @@
 // `--algo help` prints the live backend list (gradient, distributed,
 // backpressure, lp, fw, plus anything registered later), a comma-separated
 // spec runs a warm-start solver::Pipeline, and `--compare` races every
-// registered backend on the same scenario.
+// distinct registered backend on the same scenario (an alias gets a labeled
+// row, not a second solve).
 //
 // Exit code 0 on success; 1 on a usage error, parse failure, failed solve,
 // or (for `validate`) validation errors.
@@ -81,8 +82,8 @@ std::string help_text() {
       "         (--algo: a registered solver — one of %s —\n"
       "          or a comma-separated warm-start pipeline such as"
       " 'lp,gradient'; 'help' lists the registry)\n"
-      "         (--compare: run every registered solver on the scenario and"
-      " tabulate utility/iterations/wall time;\n"
+      "         (--compare: run each distinct registered solver on the"
+      " scenario and tabulate utility/iterations/wall time;\n"
       "          --compare-json FILE additionally writes the table as JSON)\n"
       "         (--threads: actor-runtime workers for solvers with a"
       " parallel engine; 0 = all hardware threads)\n"
@@ -263,7 +264,9 @@ std::string json_escape(const std::string& s) {
 }
 
 /// `--compare`: every registered solver on the same Problem; console table
-/// plus optional machine-readable JSON.
+/// plus optional machine-readable JSON. An alias (SolverInfo::alias_of)
+/// shares its target's solve, so it gets a labeled table row and no second
+/// solve (and no JSON entry).
 int run_compare(const solver::Problem& problem,
                 const solver::SolveOptions& options, const std::string& path,
                 const std::map<std::string, std::string>& flags) {
@@ -271,6 +274,10 @@ int run_compare(const solver::Problem& problem,
   util::Table table({"solver", "status", "utility", "iterations", "wall s"});
   std::vector<std::pair<std::string, solver::SolveResult>> results;
   for (const solver::SolverInfo& info : registry.solvers()) {
+    if (!info.alias_of.empty()) {
+      table.add_row({info.name, "alias of " + info.alias_of, "", "", ""});
+      continue;
+    }
     auto result = registry.solve(info.name, problem, options);
     table.add_row(
         {info.name, solver::to_string(result.status),
